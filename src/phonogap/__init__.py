@@ -33,11 +33,13 @@ from .crystal import (
     NU_CAP,
     BandGap,
     DispersionPoint,
+    GapNotClosedError,
     Layer,
     NoBandGapError,
     ObjectiveKind,
     Polarization,
     UnitCell,
+    bilayer_first_gaps,
     cell_transfer_matrix,
     dispersion_curve,
     first_band_gap,

@@ -3,8 +3,9 @@ studies and design-equation checks, exported as plot-ready CSV/JSON.
 
 Every command is reproducible: identical configuration and seed yield
 byte-identical output files, and ``--threads`` only changes wall time.
-Exit codes: 0 success, 1 numerical failure (such as a gap-free cell
-where a gap is required), 2 configuration errors.
+Exit codes: 0 success, 1 numerical failure (a gap-free cell where a gap
+is required, or a gap the general scan cannot close), 2 configuration
+errors.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from .sobol import (
     sobol_indices,
 )
 from .crystal import (
+    GapNotClosedError,
     NoBandGapError,
     Polarization,
     UnitCell,
@@ -172,11 +174,7 @@ def cmd_sobol(args: argparse.Namespace) -> int:
         model = objective_model(args.target, space)
         names = space.names
     samples = lhs_sample(model.n_dims, args.n, args.seed)
-    try:
-        result = sobol_indices(model, samples, threads=args.threads, dim_names=names)
-    except ModelEvaluationError as err:
-        print(f"model evaluation failed at physical point {err.point.tolist()}", file=sys.stderr)
-        return 1
+    result = sobol_indices(model, samples, threads=args.threads, dim_names=names)
     (out / "sobol_result.json").write_text(result_to_json(result))
     _write_table(out, "sobol_indices", result.to_csv_rows(), args.format)
 
@@ -326,7 +324,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
-    except NoBandGapError as err:
+    except (NoBandGapError, GapNotClosedError, ModelEvaluationError) as err:
+        # band-gap model failures carry the physical point in their message
         print(f"numerical failure: {err}", file=sys.stderr)
         return 1
 

@@ -19,6 +19,21 @@ unimodular cell matrix to ``cos(k_hat * h_hat) = trace(T)/2``: real wave
 numbers exist only where ``|trace/2| <= 1``, and ``|trace/2| > 1`` marks
 a band gap.  S-waves use the shear modulus, P-waves the longitudinal
 modulus ``lambda + 2 mu``, in both the speed and the stress row.
+
+First band gap.  For two layers with transit times ``a`` and ``b`` the
+half trace collapses to ``ht(w) = p cos((a-b) w) + q cos((a+b) w)`` with
+``p = (1 - zbar)/2``, ``q = (1 + zbar)/2`` and ``zbar >= 1`` the mean of
+the impedance ratio and its inverse.  This is the discriminant of a
+periodic Sturm-Liouville (Hill) problem: it is monotone inside every band
+and has a single extremum inside every gap (Magnus & Winkler, *Hill's
+Equation*, 1966; Eastham, *The Spectral Theory of Periodic Differential
+Equations*, 1973).  At the first Bragg frequency ``pi/tau``
+(``tau = a + b``) it is ``p cos((a-b) pi/tau) - q``, below -1 for any
+contrast, and at twice that frequency it is at least 1.  So the first gap
+starts at the only root of ``ht + 1`` in ``(0, pi/tau)`` and ends at the
+only root in ``(pi/tau, 2 pi/tau)``; :func:`bilayer_first_gaps` bisects
+both brackets for many cells at once.  Stacks of three or more layers
+have no such bracket and go through a grid scan with edge refinement.
 """
 from __future__ import annotations
 
@@ -42,6 +57,7 @@ __all__ = [
     "BandGap",
     "DispersionPoint",
     "NoBandGapError",
+    "GapNotClosedError",
     "lame_from_e_nu",
     "wave_speed",
     "layer_transfer_matrix",
@@ -49,6 +65,7 @@ __all__ = [
     "half_trace",
     "two_layer_half_trace",
     "dispersion_curve",
+    "bilayer_first_gaps",
     "first_band_gap",
     "transit_time",
     "two_layer_cell",
@@ -61,10 +78,20 @@ __all__ = [
 NU_CAP = 0.463
 
 #: Excursions of |half_trace| above one smaller than this are treated as
-#: rounding noise by the gap scan, not as band gaps.  Physical gaps
+#: rounding noise by the gap solvers, not as band gaps.  Physical gaps
 #: overshoot by orders of magnitude more; homogeneous stacks only by a
 #: few ulps.
 _GAP_GUARD = 1e-12
+
+#: General scan: grid steps per dispersion branch (the step is
+#: ``pi / (_SCAN_STEPS_PER_BRANCH * tau)``) and the search cap for the gap
+#: start, in Bragg frequencies ``pi / tau``.
+_SCAN_STEPS_PER_BRANCH = 200
+_SCAN_CAP_BRAGG = 8.0
+
+#: Safety cap on bisection steps; the bilayer brackets stop shrinking
+#: (adjacent doubles) after about 60.
+_BISECT_MAX = 200
 
 
 class Polarization(str, Enum):
@@ -90,11 +117,24 @@ class ObjectiveKind(str, Enum):
 
 
 class NoBandGapError(RuntimeError):
-    """No band gap below the search cap; carries the offending parameters."""
+    """The cell has no first band gap; carries the offending parameters."""
 
     def __init__(self, message: str, params: Sequence[float] | None = None):
         self.params = None if params is None else tuple(float(p) for p in params)
         super().__init__(message if self.params is None else f"{message} (params={self.params})")
+
+
+class GapNotClosedError(RuntimeError):
+    """The general scan found a gap start but no end below its search limit."""
+
+
+def _modulus(e_hat, nu, pol: Polarization):
+    """Shear (S) or longitudinal (P) modulus from Young's modulus and nu;
+    elementwise on arrays, same arithmetic as :func:`lame_from_e_nu`."""
+    mu = e_hat / (2.0 * (1.0 + nu))
+    if pol is Polarization.S:
+        return mu
+    return e_hat * nu / ((1.0 + nu) * (1.0 - 2.0 * nu)) + 2.0 * mu
 
 
 def lame_from_e_nu(e_hat: float, nu: float) -> tuple[float, float]:
@@ -126,14 +166,9 @@ class Layer:
         if not 0.0 <= self.nu <= NU_CAP:
             raise ValueError(f"Poisson's ratio {self.nu} outside the supported [0, {NU_CAP}]")
 
-    @property
-    def lame(self) -> tuple[float, float]:
-        return lame_from_e_nu(self.e_hat, self.nu)
-
     def modulus(self, pol: Polarization | str) -> float:
         """Shear modulus for S-waves, longitudinal modulus for P-waves."""
-        lam, mu = self.lame
-        return mu if Polarization(pol) is Polarization.S else lam + 2.0 * mu
+        return _modulus(self.e_hat, self.nu, Polarization(pol))
 
 
 def wave_speed(layer: Layer, pol: Polarization | str) -> float:
@@ -251,6 +286,47 @@ def half_trace(cell: UnitCell, omega_hat: float, pol: Polarization) -> float:
     return 0.5 * (t[0, 0] + t[1, 1])
 
 
+def _bilayer_coefficients(
+    points: np.ndarray, pol: Polarization
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(p, q, a - b, a + b)`` for every row of an ``(m, 5)`` matrix of
+    two-layer points (E2/E1, rho2/rho1, h2/h1, nu1, nu2).
+
+    ``a`` and ``b`` are the layer transit times, so ``a + b`` is the cell
+    transit time, and the half trace is
+    ``p cos((a - b) w) + q cos((a + b) w)`` (:func:`_bilayer_ht`).
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 5:
+        raise ValueError(f"two-layer points form an (m, 5) matrix, got shape {pts.shape}")
+    ratios, nus = pts[:, :3], pts[:, 3:]
+    if not (np.all(ratios > 0.0) and np.all((nus >= 0.0) & (nus <= NU_CAP))):
+        raise ValueError(
+            f"two-layer points need positive ratios and Poisson's ratios in [0, {NU_CAP}]"
+        )
+    e2, rho2, h2_h1, nu1, nu2 = pts.T
+    c1 = np.sqrt(_modulus(1.0, nu1, pol))  # layer 1 is the reference: unit density
+    c2 = np.sqrt(_modulus(e2, nu2, pol) / rho2)
+    h1 = 1.0 / (1.0 + h2_h1)
+    h2 = h2_h1 / (1.0 + h2_h1)
+    a, b = h1 / c1, h2 / c2
+    z2 = rho2 * c2  # z1 = c1
+    zbar = 0.5 * (c1 / z2 + z2 / c1)
+    return 0.5 * (1.0 - zbar), 0.5 * (1.0 + zbar), a - b, a + b
+
+
+def _bilayer_ht(coeffs: tuple[np.ndarray, ...], omegas: np.ndarray | float) -> np.ndarray:
+    """The two-layer half trace, broadcast over coefficients and frequencies."""
+    p, q, diff, tot = coeffs
+    return p * np.cos(diff * omegas) + q * np.cos(tot * omegas)
+
+
+def _bilayer_point(cell: UnitCell) -> np.ndarray:
+    """The ``(1, 5)`` point matrix of a two-layer cell."""
+    l1, l2 = cell.layers
+    return np.array([[l2.e_hat, l2.rho_hat, l2.h_hat / l1.h_hat, l1.nu, l2.nu]])
+
+
 def two_layer_half_trace(
     e2_e1: float,
     rho2_rho1: float,
@@ -263,16 +339,12 @@ def two_layer_half_trace(
     """Closed-form half trace of a two-layer cell.
 
     ``cos(phi1) cos(phi2) - (z1/z2 + z2/z1)/2 * sin(phi1) sin(phi2)``
-    with per-layer transit phases and impedances; equal to the matrix
-    product for any polarization.
+    with per-layer transit phases and impedances, in its product-to-sum
+    form; equal to the matrix product for any polarization.
     """
-    cell = two_layer_cell(e2_e1, rho2_rho1, h2_h1, nu1, nu2)
-    l1, l2 = cell.layers
-    c1, c2 = wave_speed(l1, pol), wave_speed(l2, pol)
-    z1, z2 = l1.rho_hat * c1, l2.rho_hat * c2
-    p1 = omega_hat * l1.h_hat / c1
-    p2 = omega_hat * l2.h_hat / c2
-    return math.cos(p1) * math.cos(p2) - 0.5 * (z1 / z2 + z2 / z1) * math.sin(p1) * math.sin(p2)
+    point = np.array([[e2_e1, rho2_rho1, h2_h1, nu1, nu2]], dtype=float)
+    coeffs = _bilayer_coefficients(point, Polarization(pol))
+    return float(_bilayer_ht(coeffs, omega_hat)[0])
 
 
 def transit_time(cell: UnitCell, pol: Polarization) -> float:
@@ -280,38 +352,21 @@ def transit_time(cell: UnitCell, pol: Polarization) -> float:
     return sum(l.h_hat / wave_speed(l, pol) for l in cell.layers)
 
 
-def _ht_evaluators(
-    cell: UnitCell, pol: Polarization
-) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[float], float]]:
-    """(vectorized, scalar) half-trace evaluators for repeated sweeps.
+def _ht_grid(cell: UnitCell, pol: Polarization) -> Callable[[np.ndarray], np.ndarray]:
+    """Vectorized half-trace evaluator for repeated sweeps.
 
-    Two-layer cells collapse to two cosines via the product-to-sum
-    identity; general stacks multiply the 2x2 propagators.  Both agree
-    with :func:`half_trace` to machine precision.
+    Two-layer cells use the closed form; general stacks multiply the 2x2
+    propagators.  Both agree with :func:`half_trace` to machine precision.
     """
     if cell.n_layers == 2:
-        l1, l2 = cell.layers
-        c1, c2 = wave_speed(l1, pol), wave_speed(l2, pol)
-        a = l1.h_hat / c1
-        b = l2.h_hat / c2
-        z1, z2 = l1.rho_hat * c1, l2.rho_hat * c2
-        zbar = 0.5 * (z1 / z2 + z2 / z1)
-        p, q = 0.5 * (1.0 - zbar), 0.5 * (1.0 + zbar)
-        diff, tot = a - b, a + b
-
-        def grid(omegas: np.ndarray) -> np.ndarray:
-            return p * np.cos(diff * omegas) + q * np.cos(tot * omegas)
-
-        def scalar(omega: float) -> float:
-            return p * math.cos(diff * omega) + q * math.cos(tot * omega)
-
-        return grid, scalar
+        coeffs = _bilayer_coefficients(_bilayer_point(cell), Polarization(pol))
+        return lambda omegas: _bilayer_ht(coeffs, omegas)
 
     speeds = [wave_speed(l, pol) for l in cell.layers]
     phases = np.array([l.h_hat / c for l, c in zip(cell.layers, speeds)])
     imps = np.array([l.rho_hat * c for l, c in zip(cell.layers, speeds)])
 
-    def grid_general(omegas: np.ndarray) -> np.ndarray:
+    def grid(omegas: np.ndarray) -> np.ndarray:
         omegas = np.asarray(omegas, dtype=float)
         phi = np.outer(omegas, phases)
         cp, sp = np.cos(phi), np.sin(phi)
@@ -329,10 +384,7 @@ def _ht_evaluators(
             t = m @ t
         return 0.5 * (t[:, 0, 0] + t[:, 1, 1])
 
-    def scalar_general(omega: float) -> float:
-        return float(grid_general(np.array([omega]))[0])
-
-    return grid_general, scalar_general
+    return grid
 
 
 @dataclass(frozen=True)
@@ -376,8 +428,7 @@ def dispersion_curve(
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
     omegas = np.linspace(0.0, omega_max, n_points + 1)[1:]
-    grid, _ = _ht_evaluators(cell, pol)
-    values = grid(omegas)
+    values = _ht_grid(cell, pol)(omegas)
     points = []
     for w, ht in zip(omegas, values):
         in_gap = abs(ht) > 1.0
@@ -440,25 +491,52 @@ def _refine_edge(
     return 0.5 * (lo + hi)
 
 
-def first_band_gap(
-    cell: UnitCell,
-    pol: Polarization,
-    omega_step_factor: int = 200,
-    edge_tol: float = 1e-9,
-    omega_cap: float | None = None,
-) -> BandGap | None:
-    """Locate the first band gap, or return None when there is none.
+def bilayer_first_gaps(
+    points: np.ndarray, pol: Polarization | str
+) -> tuple[np.ndarray, np.ndarray]:
+    """First band gap of many two-layer cells at once.
 
-    Scans upward from zero in steps of ``pi / (omega_step_factor * tau)``
-    (``tau`` the cell transit time, so every dispersion branch gets on
-    the order of ``omega_step_factor`` samples), brackets the first
-    excursion of ``|half_trace|`` above one, and bisects both edges.
-    Gaps narrower than the scan step are treated as no gap.
+    ``points`` is an ``(m, 5)`` matrix of (E2/E1, rho2/rho1, h2/h1, nu1,
+    nu2) rows.  Returns the ``(start, end)`` arrays of the first gap in
+    dimensionless radial frequency.  A row whose ``ht(pi/tau) + 1`` is not
+    below ``-_GAP_GUARD`` (a homogeneous or near-homogeneous cell) has no
+    gap and holds NaN in both arrays.
+
+    Each edge is the only root of ``ht + 1`` in its Bragg bracket
+    (module docstring): ``(0, pi/tau)`` for the start, ``(pi/tau, 2 pi/tau)``
+    for the end.  Both brackets of all rows are bisected together, one
+    vectorized pass per halving, until no bracket shrinks any more (about
+    60 halvings).  A row's edges depend on that row alone, so any split of
+    the rows into batches gives bit-identical results.
     """
-    grid, scalar = _ht_evaluators(cell, pol)
+    coeffs = _bilayer_coefficients(points, Polarization(pol))
+    bragg = np.pi / coeffs[3]
+    has_gap = _bilayer_ht(coeffs, bragg) + 1.0 < -_GAP_GUARD
+    # row 0 brackets the start, row 1 the end; ht + 1 > 0 at `outer` and
+    # < 0 at `inner` (the Bragg frequency)
+    outer = np.stack([np.zeros_like(bragg), 2.0 * bragg])
+    inner = np.stack([bragg, bragg])
+    for _ in range(_BISECT_MAX):
+        mid = 0.5 * (outer + inner)
+        if not ((mid != outer) & (mid != inner)).any():
+            break
+        positive = _bilayer_ht(coeffs, mid) + 1.0 > 0.0
+        outer = np.where(positive, mid, outer)
+        inner = np.where(positive, inner, mid)
+    edges = np.where(has_gap, 0.5 * (outer + inner), np.nan)
+    return edges[0], edges[1]
+
+
+def _scan_first_gap(cell: UnitCell, pol: Polarization, edge_tol: float) -> BandGap | None:
+    """Grid scan for stacks without a Bragg bracket; see :func:`first_band_gap`."""
+    grid = _ht_grid(cell, pol)
+
+    def scalar(w: float) -> float:
+        return float(grid(np.array([w]))[0])
+
     tau = transit_time(cell, pol)
-    step = math.pi / (omega_step_factor * tau)
-    cap = 8.0 * math.pi / tau if omega_cap is None else float(omega_cap)
+    step = math.pi / (_SCAN_STEPS_PER_BRANCH * tau)
+    cap = _SCAN_CAP_BRAGG * math.pi / tau
     n_max = int(math.floor(cap / step))
 
     block = 256
@@ -511,8 +589,43 @@ def first_band_gap(
         tail_start = hi_k - 2
         k = hi_k
     if end is None:
-        raise RuntimeError("band gap did not close below four search caps")
+        layers = [(l.h_hat, l.rho_hat, l.e_hat, l.nu) for l in cell.layers]
+        raise GapNotClosedError(
+            f"{pol.value}-wave band gap starting at omega_hat={start:.17g} did not close "
+            f"below four search caps (layers h, rho, E, nu: {layers})"
+        )
     return BandGap(start=start, end=end)
+
+
+def first_band_gap(
+    cell: UnitCell, pol: Polarization | str, edge_tol: float = 1e-9
+) -> BandGap | None:
+    """Locate the first band gap, or return None when there is none.
+
+    Two-layer cells go to :func:`bilayer_first_gaps` as one row: both edges
+    are bisected on their Bragg brackets to the last bit, far below
+    ``edge_tol``, and every gap is found however narrow, down to the
+    rounding guard on ``ht(pi/tau) + 1``.
+
+    Other stacks are scanned upward from zero in steps of
+    ``pi / (200 tau)`` (``tau`` the cell transit time, so every dispersion
+    branch gets about 200 samples) up to ``8 pi / tau``.  The first
+    excursion of ``|half_trace|`` above one is bracketed and both edges are
+    bisected to ``edge_tol``; gaps narrower than the scan step are treated
+    as no gap.  Raises :class:`GapNotClosedError` when the gap does not
+    close within four times that cap.
+    """
+    pol = Polarization(pol)
+    if cell.n_layers == 2:
+        start, end = bilayer_first_gaps(_bilayer_point(cell), pol)
+        return None if math.isnan(start[0]) else BandGap(float(start[0]), float(end[0]))
+    return _scan_first_gap(cell, pol, edge_tol)
+
+
+def _objective_values(points: np.ndarray, kind: ObjectiveKind) -> np.ndarray:
+    """Objective of every row; NaN where the cell has no gap."""
+    start, end = bilayer_first_gaps(points, kind.polarization)
+    return end - start if kind.is_width else start
 
 
 def objective(params: Sequence[float], kind: ObjectiveKind | str) -> float:
@@ -520,32 +633,32 @@ def objective(params: Sequence[float], kind: ObjectiveKind | str) -> float:
 
     ``params`` is the five-vector (E2/E1, rho2/rho1, h2/h1, nu1, nu2);
     ``kind`` selects start or width for either polarization.  Raises
-    :class:`NoBandGapError` when the cell has no gap below the search
-    cap (equal layers, for instance).
+    :class:`NoBandGapError` when the cell has no first gap (equal layers,
+    for instance).
     """
-    kind = ObjectiveKind(kind)
-    e2, rho2, h2, nu1, nu2 = (float(p) for p in params)
-    cell = two_layer_cell(e2, rho2, h2, nu1, nu2)
-    gap = first_band_gap(cell, kind.polarization)
-    if gap is None:
-        raise NoBandGapError("no band gap below the search cap", params)
-    return gap.width if kind.is_width else gap.start
+    value = float(_objective_values(np.array([params], dtype=float), ObjectiveKind(kind))[0])
+    if math.isnan(value):
+        raise NoBandGapError("no first band gap", params)
+    return value
 
 
 def objective_model(kind: ObjectiveKind | str, space: ParameterSpace | None = None) -> ModelFunction:
-    """Wrap an objective as a unit-hypercube model for the Sobol' engine."""
+    """Wrap an objective as a unit-hypercube model for the Sobol' engine.
+
+    One call solves all rows at once; the first gap-free row raises
+    :class:`ModelEvaluationError` with its index and physical point.
+    """
     kind = ObjectiveKind(kind)
     space = canonical_space() if space is None else space
 
     def fn(u: np.ndarray) -> np.ndarray:
         pts = map_to_space(u, space)
-        out = np.empty(pts.shape[0])
-        for r in range(pts.shape[0]):
-            try:
-                out[r] = objective(pts[r], kind)
-            except NoBandGapError as err:
-                raise ModelEvaluationError(r, pts[r], str(err)) from err
-        return out
+        values = _objective_values(pts, kind)
+        missing = np.isnan(values)
+        if missing.any():
+            r = int(np.argmax(missing))
+            raise ModelEvaluationError(r, pts[r], "no first band gap")
+        return values
 
     return ModelFunction(n_dims=space.n_dims, fn=fn, name=f"bandgap-{kind.value}")
 

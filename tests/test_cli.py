@@ -4,8 +4,21 @@ import math
 
 import pytest
 
+import phonogap.crystal
 from phonogap.cli import main
 from phonogap.crystal import Layer, UnitCell, two_layer_cell
+from phonogap.sampling import ParameterDef, ParameterSpace, lhs_sample, map_to_space
+
+# every point of this box is a cell with (nearly) equal layers: no first gap
+GAP_FREE_SPACE = ParameterSpace(
+    (
+        ParameterDef("E2/E1", 1.0 - 1e-9, 1.0 + 1e-9),
+        ParameterDef("rho2/rho1", 1.0 - 1e-9, 1.0 + 1e-9),
+        ParameterDef("h2/h1", 0.999, 1.001),
+        ParameterDef("nu1", 0.25, 0.2500001),
+        ParameterDef("nu2", 0.25, 0.2500001),
+    )
+)
 
 
 @pytest.fixture()
@@ -234,6 +247,47 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             main(["sobol", "--target", "nonsense"])
         assert err.value.code == 2
+
+    def test_gap_free_sobol_point_exits_1(self, tmp_path, capsys):
+        space_file = tmp_path / "space.json"
+        space_file.write_text(GAP_FREE_SPACE.to_json())
+        code = main(
+            ["sobol", "--target", "SS", "--n", "100", "--seed", "4", "--space", str(space_file),
+             "--out", str(tmp_path)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        point = map_to_space(lhs_sample(5, 100, 4).original, GAP_FREE_SPACE)[0]
+        assert err == f"numerical failure: no first band gap at sample 0: {point.tolist()}\n"
+
+    def test_gap_free_design_point_exits_1(self, tmp_path, capsys, monkeypatch):
+        # the design command always samples the canonical space, where every
+        # cell has a gap; only a patched space reaches the failure
+        monkeypatch.setattr(phonogap.crystal, "canonical_space", lambda: GAP_FREE_SPACE)
+        code = main(
+            ["design", "--mode", "error", "--kind", "WP", "--n", "100", "--seed", "4",
+             "--out", str(tmp_path)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        point = map_to_space(lhs_sample(5, 100, 4).original, GAP_FREE_SPACE)[0]
+        assert err == f"numerical failure: no first band gap at sample 0: {point.tolist()}\n"
+        assert not (tmp_path / "design_error.json").exists()
+
+    def test_unclosed_gap_exits_1(self, tmp_path, capsys, monkeypatch):
+        # this three-layer cell's S gap runs from about 0.033 to 1.74 Bragg
+        # frequencies; a search cap of 0.1 finds its start but cannot close it
+        cell = UnitCell(
+            (Layer(0.36, 1.0, 1.0, 0.2), Layer(0.41, 846.0, 1656.0, 0.2), Layer(0.23, 829.0, 7412.0, 0.2))
+        )
+        path = tmp_path / "cell.json"
+        path.write_text(cell.to_json())
+        monkeypatch.setattr(phonogap.crystal, "_SCAN_CAP_BRAGG", 0.1)
+        code = main(["bandgap", "--cell", str(path), "--pol", "S", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: S-wave band gap starting at omega_hat=")
+        assert "did not close" in err and "(0.41, 846.0, 1656.0, 0.2)" in err
 
     def test_reproducible_reruns_are_byte_identical(self, tmp_path):
         out1 = tmp_path / "r1"

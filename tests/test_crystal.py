@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phonogap.crystal import (
@@ -13,6 +13,7 @@ from phonogap.crystal import (
     ObjectiveKind,
     Polarization,
     UnitCell,
+    bilayer_first_gaps,
     cell_transfer_matrix,
     dispersion_curve,
     first_band_gap,
@@ -186,12 +187,38 @@ class TestTransferMatrices:
         omega=omega_strategy,
         pol=pol_strategy,
     )
+    @example(  # entries up to 2.5e5: |det T - 1| = 1.2e-9 from rounding alone
+        layers=[
+            Layer(h_hat=1.0, rho_hat=1.0, e_hat=1.0, nu=0.0),
+            Layer(h_hat=1.0, rho_hat=74.0, e_hat=14.0, nu=0.0),
+            Layer(h_hat=1.0, rho_hat=1.0, e_hat=0.01171875, nu=0.0),
+            Layer(h_hat=0.171875, rho_hat=295.0, e_hat=1032.0, nu=0.0),
+        ],
+        omega=8.0,
+        pol=Polarization.S,
+    )
     def test_cell_unimodular(self, layers, omega, pol):
+        """det T = 1 up to rounding, which scales with the entries of T.
+
+        Each layer matrix is exactly unimodular at its rounded phase and
+        impedance; evaluating its entries costs at most two ulps each.  A
+        2x2 product adds two roundings per entry, so for n layers
+        ``|T_computed - T| <= (6n - 2) u |T_n|...|T_1|`` entrywise (u the
+        unit roundoff), and ``|det(T + E) - 1| <= ||T||_F ||E||_F`` to first
+        order.  ``np.linalg.det`` adds at most ``1.5 u ||T||_F^2``.  Hence
+        ``|det - 1| <= 8 n u ||T||_F || |T_n|...|T_1| ||_F``: no absolute
+        bound holds once the entries grow past about 1e3.
+        """
         first = layers[0]
         layers[0] = Layer(first.h_hat, 1.0, 1.0, first.nu)
         cell = UnitCell(tuple(layers))
         t = cell_transfer_matrix(cell, omega, pol)
-        assert abs(np.linalg.det(t) - 1.0) < 1e-9
+        magnitudes = np.eye(2)
+        for layer in cell.layers:
+            magnitudes = np.abs(layer_transfer_matrix(layer, omega, pol)) @ magnitudes
+        unit_roundoff = np.finfo(float).eps / 2.0
+        bound = 8 * cell.n_layers * unit_roundoff * np.linalg.norm(t) * np.linalg.norm(magnitudes)
+        assert abs(np.linalg.det(t) - 1.0) <= bound
 
 
 class TestHalfTrace:
@@ -323,6 +350,69 @@ class TestFirstBandGap:
         assert gap.width == 2.5
 
 
+class TestBilayerFirstGaps:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        e=st.floats(min_value=0.1, max_value=1e4),
+        rho=st.floats(min_value=0.1, max_value=1e3),
+        h=st.floats(min_value=0.11, max_value=9.0),
+        nu1=st.floats(min_value=0.0, max_value=NU_CAP),
+        nu2=st.floats(min_value=0.0, max_value=NU_CAP),
+        pol=pol_strategy,
+    )
+    def test_gap_lies_in_its_bragg_brackets(self, e, rho, h, nu1, nu2, pol):
+        cell = two_layer_cell(e, rho, h, nu1, nu2)
+        bragg = math.pi / transit_time(cell, pol)
+        gap = first_band_gap(cell, pol)
+        if gap is None:  # (near-)equal impedances: the Bragg dip stays within rounding of -1
+            assert half_trace(cell, bragg, pol) + 1.0 >= -1e-12
+            return
+        assert gap.start < bragg < gap.end < 2.0 * bragg
+        assert abs(half_trace(cell, 0.5 * (gap.start + gap.end), pol)) > 1.0
+        z1, z2 = (l.rho_hat * wave_speed(l, pol) for l in cell.layers)
+        q = 0.5 * (1.0 + 0.5 * (z1 / z2 + z2 / z1))  # size of the half trace's terms
+        for edge in (gap.start, gap.end):
+            assert abs(half_trace(cell, edge, pol) + 1.0) < 1e-12 * q
+
+    def test_rows_are_solved_independently(self):
+        samples = lhs_sample(5, 1000, 23)
+        points = map_to_space(np.vstack([samples.original, samples.complementary]), canonical_space())
+        points[7] = [1.0, 1.0, 2.0, 0.3, 0.3]  # a gap-free row among them
+        batch = {pol: bilayer_first_gaps(points, pol) for pol in ("S", "P")}
+        assert np.isnan(batch["S"][0][7]) and np.isnan(batch["P"][1][7])
+        for r in range(len(points)):
+            pol = "SP"[r % 2]
+            start, end = bilayer_first_gaps(points[r : r + 1], pol)
+            np.testing.assert_array_equal(
+                [start[0], end[0]], [batch[pol][0][r], batch[pol][1][r]]
+            )
+
+    def test_near_homogeneous_sweep(self):
+        # E2/E1 = 1 + 10^-k: the Bragg dip below -1 shrinks like 10^-2k and
+        # falls under the 1e-12 rounding guard from k = 6 on
+        for k in range(1, 10):
+            params = [1.0 + 10.0**-k, 1.0, 1.0, 0.25, 0.25]
+            cell = two_layer_cell(*params)
+            for pol in (Polarization.S, Polarization.P):
+                gap = first_band_gap(cell, pol)
+                if k <= 5:
+                    bragg = math.pi / transit_time(cell, pol)
+                    assert gap.start < bragg < gap.end
+                    assert objective(params, f"W{pol.value}") == gap.width
+                else:
+                    assert gap is None
+                    with pytest.raises(NoBandGapError):
+                        objective(params, f"S{pol.value}")
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match=r"\(m, 5\)"):
+            bilayer_first_gaps(np.ones((3, 4)), "S")
+        with pytest.raises(ValueError, match="Poisson"):
+            bilayer_first_gaps([[1000.0, 2.0, 2.0, 0.2, 0.5]], "S")
+        with pytest.raises(ValueError, match="positive"):
+            bilayer_first_gaps([[1000.0, -2.0, 2.0, 0.2, 0.2]], "P")
+
+
 class TestObjective:
     def test_equal_layers_have_no_gap(self):
         with pytest.raises(NoBandGapError) as err:
@@ -340,14 +430,11 @@ class TestObjective:
 
     def test_random_points_match_oracle(self):
         samples = map_to_space(lhs_sample(5, 20, 17).original, canonical_space())
-        for row in samples:
-            cell = two_layer_cell(*row)
-            start, end = brute_force_first_gap(cell, Polarization.S)
-            assert objective(row, "SS") == pytest.approx(start, abs=1e-6)
-        for row in samples[:5]:
-            cell = two_layer_cell(*row)
-            start, end = brute_force_first_gap(cell, Polarization.S)
-            assert objective(row, "WS") == pytest.approx(end - start, abs=1e-6)
+        for pol in (Polarization.S, Polarization.P):
+            for row in samples:
+                start, end = brute_force_first_gap(two_layer_cell(*row), pol)
+                assert objective(row, f"S{pol.value}") == pytest.approx(start, abs=1e-6)
+                assert objective(row, f"W{pol.value}") == pytest.approx(end - start, abs=1e-6)
 
     def test_objective_model_reports_failures(self):
         degenerate = ParameterSpace(
