@@ -37,7 +37,6 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=int, default=2000)
     ap.add_argument("--seed", type=int, default=20260808)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--grid", type=int, default=48, help="nodes per Sobol'-function axis")
     ap.add_argument("--inner", type=int, default=96, help="inner samples per node")
     ap.add_argument("--skip-functions", action="store_true")
@@ -51,7 +50,7 @@ def main() -> None:
     for kind in ("SS", "WS", "SP", "WP"):
         t0 = time.monotonic()
         model = objective_model(kind, space)
-        result = sobol_indices(model, samples, threads=args.threads, dim_names=space.names)
+        result = sobol_indices(model, samples, dim_names=space.names)
         (args.out / f"sobol_{kind}.json").write_text(result_to_json(result))
         with open(args.out / f"sobol_{kind}.csv", "w", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows(result.to_csv_rows())
@@ -67,12 +66,11 @@ def main() -> None:
             axes = tuple(space.names.index(d) for d in dims)
             if len(axes) == 1:
                 est = estimate_sobol_function_1d(
-                    model, axes[0], args.grid, args.inner, seed=args.seed, threads=args.threads
+                    model, axes[0], args.grid, args.inner, seed=args.seed
                 )
             else:
                 est = estimate_sobol_function_2d(
-                    model, axes[0], axes[1], args.grid, args.inner,
-                    seed=args.seed, threads=args.threads,
+                    model, axes[0], axes[1], args.grid, args.inner, seed=args.seed
                 )
             tag = "-".join(d.replace("/", "_") for d in dims)
             with open(args.out / f"function_{kind}_{tag}.csv", "w", newline="") as fh:

@@ -23,7 +23,6 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=int, default=2000)
     ap.add_argument("--seed", type=int, default=20260808)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", type=Path, default=Path("results/design"))
     args = ap.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
@@ -31,10 +30,8 @@ def main() -> None:
     samples = lhs_sample(5, args.n, args.seed)
     report = {"n_samples": args.n, "seed": args.seed, "delta": {}, "delta_by_k": {}}
     for kind in KINDS:
-        delta = scaled_l2_error(
-            objective_model(kind), design_model(kind), samples, threads=args.threads
-        )
-        curve = truncation_curve(kind, samples, threads=args.threads)
+        delta = scaled_l2_error(objective_model(kind), design_model(kind), samples)
+        curve = truncation_curve(kind, samples)
         report["delta"][kind] = delta
         report["delta_by_k"][kind] = list(curve.deltas)
         print(f"{kind}: delta={delta:.4f}  curve=" + " ".join(f"{d:.3f}" for d in curve.deltas))

@@ -12,7 +12,6 @@ from .sampling import (
     canonical_space,
     lhs_sample,
     map_to_space,
-    rescale_affine,
 )
 from .sobol import (
     ModelEvaluationError,
@@ -21,13 +20,9 @@ from .sobol import (
     SobolResult,
     analytic_poly_model,
     analytic_poly_reference,
-    estimate_f0,
     estimate_sobol_function_1d,
     estimate_sobol_function_2d,
-    first_order_variance,
-    second_order_variance,
     sobol_indices,
-    total_variance,
 )
 from .crystal import (
     NU_CAP,

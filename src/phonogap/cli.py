@@ -2,7 +2,8 @@
 studies and design-equation checks, exported as plot-ready CSV/JSON.
 
 Every command is reproducible: identical configuration and seed yield
-byte-identical output files, and ``--threads`` only changes wall time.
+byte-identical output files.  ``--threads`` is accepted and has no
+effect: every model evaluation runs in one thread.
 Exit codes: 0 success, 1 numerical failure (a gap-free cell where a gap
 is required, or a gap the general scan cannot close), 2 configuration
 errors.
@@ -171,22 +172,23 @@ def cmd_sobol(args: argparse.Namespace) -> int:
         space = None
     else:
         space = _load_space(args.space)
-        model = objective_model(args.target, space)
+        try:
+            model = objective_model(args.target, space)
+        except ValueError as err:
+            raise ConfigError(f"space file {args.space}: {err}") from err
         names = space.names
     samples = lhs_sample(model.n_dims, args.n, args.seed)
-    result = sobol_indices(model, samples, threads=args.threads, dim_names=names)
+    result = sobol_indices(model, samples, dim_names=names)
     (out / "sobol_result.json").write_text(result_to_json(result))
     _write_table(out, "sobol_indices", result.to_csv_rows(), args.format)
 
     for axes in _parse_function_requests(args.functions, names):
         tag = "-".join(names[a].replace("/", "_") for a in axes)
         if len(axes) == 1:
-            est = estimate_sobol_function_1d(
-                model, axes[0], args.grid, args.inner, seed=args.seed, threads=args.threads
-            )
+            est = estimate_sobol_function_1d(model, axes[0], args.grid, args.inner, seed=args.seed)
         else:
             est = estimate_sobol_function_2d(
-                model, axes[0], axes[1], args.grid, args.inner, seed=args.seed, threads=args.threads
+                model, axes[0], axes[1], args.grid, args.inner, seed=args.seed
             )
         _write_table(out, f"sobol_function_{tag}", est.to_csv_rows(), args.format)
 
@@ -245,9 +247,7 @@ def cmd_design(args: argparse.Namespace) -> int:
     if args.mode == "error":
         payload = {"mode": "error", "n_samples": args.n, "seed": args.seed, "delta": {}}
         for kind in kinds:
-            delta = scaled_l2_error(
-                objective_model(kind), design_model(kind), samples, threads=args.threads
-            )
+            delta = scaled_l2_error(objective_model(kind), design_model(kind), samples)
             payload["delta"][kind] = delta
         _write_json(out / "design_error.json", payload)
         print(json.dumps(payload["delta"], indent=2, sort_keys=True))
@@ -255,7 +255,7 @@ def cmd_design(args: argparse.Namespace) -> int:
 
     payload = {"mode": "truncation", "n_samples": args.n, "seed": args.seed, "curves": {}}
     for kind in kinds:
-        curve = truncation_curve(kind, samples, threads=args.threads)
+        curve = truncation_curve(kind, samples)
         payload["curves"][kind] = curve.to_json_dict()
     _write_json(out / "design_truncation.json", payload)
     for kind in kinds:
@@ -265,7 +265,9 @@ def cmd_design(args: argparse.Namespace) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="RNG seed recorded in every artifact")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads (never changes results)")
+    parser.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility; has no effect"
+    )
     parser.add_argument("--out", type=str, default=None, help="output directory (default $PHONOGAP_OUT or .)")
     parser.add_argument("--format", choices=["csv", "json"], default="csv", help="tabular output format")
 

@@ -647,9 +647,17 @@ def objective_model(kind: ObjectiveKind | str, space: ParameterSpace | None = No
 
     One call solves all rows at once; the first gap-free row raises
     :class:`ModelEvaluationError` with its index and physical point.
+    The solver reads the columns by position, so ``space`` must name the
+    five canonical dimensions in canonical order (``ValueError`` if not).
     """
     kind = ObjectiveKind(kind)
-    space = canonical_space() if space is None else space
+    canonical = canonical_space()
+    space = canonical if space is None else space
+    if space.names != canonical.names:
+        raise ValueError(
+            f"the objective needs the dimensions {list(canonical.names)} in this order, "
+            f"got {list(space.names)}"
+        )
 
     def fn(u: np.ndarray) -> np.ndarray:
         pts = map_to_space(u, space)

@@ -222,14 +222,13 @@ def scaled_l2_error(
     exact: ModelFunction,
     surrogate: ModelFunction,
     samples: SampleSet,
-    threads: int = 1,
 ) -> float:
     """Mean squared surrogate error over the original sample matrix,
     normalized by the exact model's variance estimate on the same rows."""
     if exact.n_dims != surrogate.n_dims or exact.n_dims != samples.n_dims:
         raise ValueError("exact, surrogate and samples must share dimensionality")
-    y = _evaluate(exact, samples.original, threads)
-    y_hat = _evaluate(surrogate, samples.original, threads)
+    y = _evaluate(exact, samples.original)
+    y_hat = _evaluate(surrogate, samples.original)
     mean = float(np.mean(y))
     variance = float(np.mean(y * y) - mean * mean)
     if variance <= 0.0:
@@ -266,7 +265,6 @@ def truncation_curve(
     kind: str,
     samples: SampleSet,
     exact: ModelFunction | None = None,
-    threads: int = 1,
 ) -> TruncationCurve:
     """Error-vs-terms curve for one design equation.
 
@@ -279,7 +277,7 @@ def truncation_curve(
         from .crystal import objective_model
 
         exact = objective_model(kind)
-    y = _evaluate(exact, samples.original, threads)
+    y = _evaluate(exact, samples.original)
     mean = float(np.mean(y))
     variance = float(np.mean(y * y) - mean * mean)
     if variance <= 0.0:

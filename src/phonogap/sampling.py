@@ -56,9 +56,6 @@ class ParameterSpace:
     def names(self) -> tuple[str, ...]:
         return tuple(d.name for d in self.dims)
 
-    def map(self, u: np.ndarray) -> np.ndarray:
-        return map_to_space(u, self)
-
     def to_json(self) -> str:
         payload = {
             "dims": [
@@ -187,10 +184,3 @@ def map_to_space(u: np.ndarray, space: ParameterSpace) -> np.ndarray:
             lg_hi = np.log10(dim.upper)
             out[:, d] = 10.0 ** (lg_lo + pts[:, d] * (lg_hi - lg_lo))
     return out[0] if squeeze else out
-
-
-def rescale_affine(x: float, a: float, b: float) -> float:
-    """Send ``[a, b]`` onto ``[0, 1]``; extrapolates outside the interval."""
-    if not a < b:
-        raise ValueError("rescale_affine requires a < b")
-    return (x - a) / (b - a)

@@ -15,20 +15,20 @@ complementary matrix, row-aligned with the original.  Small negative
 estimates are Monte Carlo noise and are reported raw; presentation
 helpers can clamp them for summary tables.
 
-Pointwise Sobol' functions (the conditional-mean components of the
-ANOVA decomposition) are estimated by an explicit double loop: a
-regular grid over the frozen axis (or axes) with an inner Latin
-Hypercube average over the remaining dimensions.
+All ``1 + d + d(d-1)/2`` matrices of a study are stacked and evaluated
+in one model call.
 
-Everything here is deterministic given (model, seed, N) and independent
-of the thread count: worker threads only fill disjoint slices of the
-evaluation vector, and reductions always run over the full vector in
-index order.
+Pointwise Sobol' functions (the conditional-mean components of the
+ANOVA decomposition) are estimated on a regular grid over the frozen
+axis (or axes), each node averaging the model over an inner Latin
+Hypercube sample of the remaining dimensions.
+
+Everything here is deterministic given (model, seed, N).
 """
 from __future__ import annotations
 
+import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -41,10 +41,6 @@ __all__ = [
     "ModelEvaluationError",
     "SobolResult",
     "SobolFunctionEstimate",
-    "estimate_f0",
-    "total_variance",
-    "first_order_variance",
-    "second_order_variance",
     "sobol_indices",
     "estimate_sobol_function_1d",
     "estimate_sobol_function_2d",
@@ -57,13 +53,15 @@ __all__ = [
 class ModelEvaluationError(RuntimeError):
     """A model failed (or returned a non-finite value) at one sample.
 
-    Carries the row index within the evaluated matrix and the offending
-    point so callers can surface the physical parameters.
+    Carries the row index within the evaluated matrix, the offending
+    point (so callers can surface the physical parameters) and the
+    message that precedes them.
     """
 
     def __init__(self, index: int, point: np.ndarray, message: str = "model evaluation failed"):
         self.index = int(index)
         self.point = np.asarray(point, dtype=float)
+        self.message = message
         super().__init__(f"{message} at sample {self.index}: {self.point.tolist()}")
 
 
@@ -73,7 +71,7 @@ class ModelFunction:
 
     ``fn`` maps an ``(m, n_dims)`` matrix to an ``(m,)`` vector.  It must
     be side-effect free and row-pure: the value of row ``r`` may depend
-    only on row ``r``, which is what makes chunked evaluation exact.
+    only on row ``r``, which is what makes stacked evaluation exact.
     """
 
     n_dims: int
@@ -87,31 +85,10 @@ class ModelFunction:
         return np.asarray(self.fn(u), dtype=float)
 
 
-def _evaluate(model: ModelFunction, matrix: np.ndarray, threads: int = 1) -> np.ndarray:
-    """Evaluate ``model`` on every row, optionally across a thread pool.
-
-    The result is identical for any ``threads``: chunks map to disjoint
-    row slices and the output is assembled by index.
-    """
+def _evaluate(model: ModelFunction, matrix: np.ndarray) -> np.ndarray:
+    """Evaluate ``model`` on every row in one call; reject non-finite values."""
     matrix = np.ascontiguousarray(matrix, dtype=float)
-    n = matrix.shape[0]
-    if threads <= 1 or n < 256:
-        values = np.asarray(model.fn(matrix), dtype=float).reshape(n)
-    else:
-        values = np.empty(n)
-        bounds = np.linspace(0, n, threads * 4 + 1, dtype=int)
-        slices = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-        def run(bounds_pair: tuple[int, int]) -> None:
-            a, b = bounds_pair
-            try:
-                values[a:b] = np.asarray(model.fn(matrix[a:b]), dtype=float).reshape(b - a)
-            except ModelEvaluationError as err:  # rebase chunk-local index
-                raise ModelEvaluationError(err.index + a, err.point, "model evaluation failed") from err
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for future in [pool.submit(run, s) for s in slices]:
-                future.result()
+    values = np.asarray(model.fn(matrix), dtype=float).reshape(matrix.shape[0])
     bad = ~np.isfinite(values)
     if bad.any():
         idx = int(np.argmax(bad))
@@ -126,58 +103,17 @@ def _check_dims(model: ModelFunction, samples: SampleSet) -> None:
         )
 
 
-def estimate_f0(model: ModelFunction, samples: SampleSet, threads: int = 1) -> float:
-    """Mean of the model over the original sample matrix."""
-    _check_dims(model, samples)
-    return float(np.mean(_evaluate(model, samples.original, threads)))
-
-
-def total_variance(model: ModelFunction, samples: SampleSet, threads: int = 1) -> float:
-    """Total variance estimate; clamped at zero against cancellation on
-    constant models."""
-    _check_dims(model, samples)
-    y = _evaluate(model, samples.original, threads)
-    f0 = float(np.mean(y))
-    d = float(np.mean(y * y) - f0 * f0)
-    return max(d, 0.0)
-
-def _mixed_matrix(samples: SampleSet, frozen: Sequence[int]) -> np.ndarray:
-    """Complementary matrix with the frozen columns taken from the original."""
-    m = samples.complementary.copy()
-    for i in frozen:
-        m[:, i] = samples.original[:, i]
-    return m
-
-
-def first_order_variance(
-    model: ModelFunction, samples: SampleSet, i: int, threads: int = 1
-) -> float:
-    """Raw first-order partial variance of dimension ``i`` (may be negative)."""
-    _check_dims(model, samples)
-    if not 0 <= i < samples.n_dims:
-        raise IndexError(f"dimension index {i} out of range")
-    y = _evaluate(model, samples.original, threads)
-    y_i = _evaluate(model, _mixed_matrix(samples, (i,)), threads)
-    f0 = float(np.mean(y))
-    return float(np.mean(y * y_i) - f0 * f0)
-
-
-def second_order_variance(
-    model: ModelFunction, samples: SampleSet, i: int, j: int, threads: int = 1
-) -> float:
-    """Raw second-order partial variance of the pair ``(i, j)``."""
-    _check_dims(model, samples)
-    if i == j:
-        raise ValueError("second-order variance needs two distinct dimensions")
-    for k in (i, j):
-        if not 0 <= k < samples.n_dims:
-            raise IndexError(f"dimension index {k} out of range")
-    y = _evaluate(model, samples.original, threads)
-    f0 = float(np.mean(y))
-    d_i = float(np.mean(y * _evaluate(model, _mixed_matrix(samples, (i,)), threads)) - f0 * f0)
-    d_j = float(np.mean(y * _evaluate(model, _mixed_matrix(samples, (j,)), threads)) - f0 * f0)
-    y_ij = _evaluate(model, _mixed_matrix(samples, (i, j)), threads)
-    return float(np.mean(y * y_ij) - d_i - d_j - f0 * f0)
+def _stacked_matrix(samples: SampleSet, frozen_sets: Sequence[Sequence[int]]) -> np.ndarray:
+    """The original matrix, then one complementary matrix per entry of
+    ``frozen_sets`` with those columns taken from the original."""
+    n = samples.n_samples
+    stacked = np.empty(((1 + len(frozen_sets)) * n, samples.n_dims))
+    stacked[:n] = samples.original
+    for k, frozen in enumerate(frozen_sets, start=1):
+        block = stacked[k * n:(k + 1) * n]
+        block[:] = samples.complementary
+        block[:, list(frozen)] = samples.original[:, list(frozen)]
+    return stacked
 
 
 @dataclass(frozen=True)
@@ -299,14 +235,14 @@ def sobol_indices(
     model: ModelFunction,
     samples: SampleSet,
     orders: Iterable[int] = (1, 2),
-    threads: int = 1,
     dim_names: Sequence[str] | None = None,
 ) -> SobolResult:
     """Full study: mean, total variance, requested-order partial variances.
 
-    Shares the original-matrix evaluation across every estimator so the
-    stored indices are mutually consistent (``S = D / total_variance``
-    exactly as stored).
+    The original matrix and every mixed matrix are stacked and evaluated
+    in one model call, so the stored indices are mutually consistent
+    (``S = D / total_variance`` exactly as stored).  A failing row is
+    reported by its index within its own ``N``-row matrix.
     """
     _check_dims(model, samples)
     orders = set(int(o) for o in orders)
@@ -315,8 +251,14 @@ def sobol_indices(
     if 1 not in orders:
         raise ValueError("first order is always required")
     n = samples.n_dims
+    pairs = list(itertools.combinations(range(n), 2)) if 2 in orders else []
 
-    y = _evaluate(model, samples.original, threads)
+    stacked = _stacked_matrix(samples, [(i,) for i in range(n)] + pairs)
+    try:
+        blocks = _evaluate(model, stacked).reshape(-1, samples.n_samples)
+    except ModelEvaluationError as err:
+        raise ModelEvaluationError(err.index % samples.n_samples, err.point, err.message) from err
+    y = blocks[0]
     f0 = float(np.mean(y))
     d_total = max(float(np.mean(y * y) - f0 * f0), 0.0)
     if d_total == 0.0:
@@ -324,16 +266,13 @@ def sobol_indices(
 
     d_first = np.empty(n)
     for i in range(n):
-        y_i = _evaluate(model, _mixed_matrix(samples, (i,)), threads)
-        d_first[i] = np.mean(y * y_i) - f0 * f0
+        d_first[i] = np.mean(y * blocks[1 + i]) - f0 * f0
 
     d_second = s_second = None
-    if 2 in orders:
+    if pairs:
         d_second = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                y_ij = _evaluate(model, _mixed_matrix(samples, (i, j)), threads)
-                d_second[i, j] = np.mean(y * y_ij) - d_first[i] - d_first[j] - f0 * f0
+        for k, (i, j) in enumerate(pairs):
+            d_second[i, j] = np.mean(y * blocks[1 + n + k]) - d_first[i] - d_first[j] - f0 * f0
         s_second = d_second / d_total
 
     return SobolResult(
@@ -402,24 +341,26 @@ def _midpoint_grid(n: int) -> np.ndarray:
     return (np.arange(n) + 0.5) / n
 
 
-def _conditional_means_1d(
+def _conditional_means(
     model: ModelFunction,
-    i: int,
-    grid: np.ndarray,
+    axes: Sequence[int],
+    nodes: np.ndarray,
     inner_samples: int,
-    seed: int,
-    threads: int,
+    seeds: Sequence[np.random.SeedSequence],
 ) -> np.ndarray:
-    rest = [k for k in range(model.n_dims) if k != i]
-    seeds = np.random.SeedSequence(seed).spawn(len(grid))
-    means = np.empty(len(grid))
-    for a, g in enumerate(grid):
-        rng = np.random.default_rng(seeds[a])
-        pts = np.empty((inner_samples, model.n_dims))
-        pts[:, rest] = _lhs_matrix(len(rest), inner_samples, rng) if rest else 0.0
-        pts[:, i] = g
-        means[a] = np.mean(_evaluate(model, pts, threads))
-    return means
+    """Inner-sample mean of the model at each node, in one model call.
+
+    Row ``a`` of ``nodes`` fixes the coordinates ``axes``; the remaining
+    dimensions take one Latin Hypercube draw from ``seeds[a]``.
+    """
+    rest = [k for k in range(model.n_dims) if k not in axes]
+    pts = np.empty((len(nodes), inner_samples, model.n_dims))
+    for node, seq, block in zip(nodes, seeds, pts):
+        if rest:
+            block[:, rest] = _lhs_matrix(len(rest), inner_samples, np.random.default_rng(seq))
+        block[:, list(axes)] = node
+    values = _evaluate(model, pts.reshape(-1, model.n_dims)).reshape(len(nodes), inner_samples)
+    return values.mean(axis=1)
 
 
 def estimate_sobol_function_1d(
@@ -428,7 +369,6 @@ def estimate_sobol_function_1d(
     grid_points: int = 64,
     inner_samples: int = 128,
     seed: int = 0,
-    threads: int = 1,
 ) -> SobolFunctionEstimate:
     """First-order Sobol' function of dimension ``i`` on a midpoint grid.
 
@@ -441,7 +381,8 @@ def estimate_sobol_function_1d(
     if not 0 <= i < model.n_dims:
         raise IndexError(f"dimension index {i} out of range")
     grid = _midpoint_grid(grid_points)
-    means = _conditional_means_1d(model, i, grid, inner_samples, seed, threads)
+    seeds = np.random.SeedSequence(seed).spawn(grid_points)
+    means = _conditional_means(model, (i,), grid[:, None], inner_samples, seeds)
     f0 = float(np.mean(means))
     return SobolFunctionEstimate(
         axes=(i,),
@@ -461,7 +402,6 @@ def estimate_sobol_function_2d(
     grid_points: int = 64,
     inner_samples: int = 128,
     seed: int = 0,
-    threads: int = 1,
 ) -> SobolFunctionEstimate:
     """Second-order Sobol' function of the pair ``(i, j)``.
 
@@ -478,18 +418,12 @@ def estimate_sobol_function_2d(
         if not 0 <= k < model.n_dims:
             raise IndexError(f"dimension index {k} out of range")
     grid = _midpoint_grid(grid_points)
-    rest = [k for k in range(model.n_dims) if k not in (i, j)]
     seeds = np.random.SeedSequence(seed).spawn(grid_points * grid_points)
     table = np.empty((grid_points, grid_points))
-    for a in range(grid_points):
-        for b in range(grid_points):
-            rng = np.random.default_rng(seeds[a * grid_points + b])
-            pts = np.empty((inner_samples, model.n_dims))
-            if rest:
-                pts[:, rest] = _lhs_matrix(len(rest), inner_samples, rng)
-            pts[:, i] = grid[a]
-            pts[:, j] = grid[b]
-            table[a, b] = np.mean(_evaluate(model, pts, threads))
+    for a in range(grid_points):  # one model call per grid line bounds the memory
+        nodes = np.column_stack([np.full(grid_points, grid[a]), grid])
+        line_seeds = seeds[a * grid_points:(a + 1) * grid_points]
+        table[a] = _conditional_means(model, (i, j), nodes, inner_samples, line_seeds)
     grand = float(np.mean(table))
     interaction = table - table.mean(axis=1, keepdims=True) - table.mean(axis=0, keepdims=True) + grand
     return SobolFunctionEstimate(

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -7,7 +8,9 @@ import pytest
 import phonogap.crystal
 from phonogap.cli import main
 from phonogap.crystal import Layer, UnitCell, two_layer_cell
-from phonogap.sampling import ParameterDef, ParameterSpace, lhs_sample, map_to_space
+from phonogap.sampling import (
+    ParameterDef, ParameterSpace, canonical_space, lhs_sample, map_to_space,
+)
 
 # every point of this box is a cell with (nearly) equal layers: no first gap
 GAP_FREE_SPACE = ParameterSpace(
@@ -155,6 +158,38 @@ class TestSobolCommand:
         code = main(["sobol", "--target", "poly", "--n", "50", "--out", str(tmp_path)])
         assert code == 2
         assert "at least 100" in capsys.readouterr().err
+
+    @staticmethod
+    def run_with_space(tmp_path, dims, target="SS"):
+        space_file = tmp_path / "space.json"
+        space_file.write_text(ParameterSpace(tuple(dims)).to_json())
+        return main(
+            ["sobol", "--target", target, "--n", "100", "--space", str(space_file),
+             "--out", str(tmp_path)]
+        )
+
+    def test_two_dimension_space_exits_2(self, tmp_path, capsys):
+        dims = (ParameterDef("E2/E1", 10.0, 100.0, "log10"), ParameterDef("nu1", 0.0, 0.4))
+        assert self.run_with_space(tmp_path, dims) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "Traceback" not in err
+        assert not (tmp_path / "sobol_result.json").exists()
+
+    def test_reordered_space_exits_2(self, tmp_path, capsys):
+        dims = list(canonical_space().dims)
+        dims[0], dims[1] = dims[1], dims[0]
+        assert self.run_with_space(tmp_path, dims, target="WP") == 2
+        assert "['E2/E1', 'rho2/rho1', 'h2/h1', 'nu1', 'nu2']" in capsys.readouterr().err
+        assert not (tmp_path / "sobol_result.json").exists()
+
+    def test_narrowed_canonical_space_runs(self, tmp_path):
+        dims = [
+            dataclasses.replace(d, upper=d.lower + 0.5 * (d.upper - d.lower))
+            for d in canonical_space().dims
+        ]
+        assert self.run_with_space(tmp_path, dims) == 0
+        result = json.loads((tmp_path / "sobol_result.json").read_text())
+        assert result["dim_names"] == list(canonical_space().names)
 
     def test_thread_count_never_changes_payload(self, tmp_path):
         out1 = tmp_path / "t1"

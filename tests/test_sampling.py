@@ -12,7 +12,6 @@ from phonogap.sampling import (
     canonical_space,
     lhs_sample,
     map_to_space,
-    rescale_affine,
 )
 
 
@@ -178,21 +177,7 @@ class TestMapToSpace:
         pts = np.full(5, 0.5)
         pts[3] = u
         x = map_to_space(pts, space)[3]
-        assert rescale_affine(x, 0.0, 0.463) == pytest.approx(u, abs=1e-12)
-
-
-class TestRescaleAffine:
-    def test_endpoints_and_midpoint(self):
-        assert rescale_affine(-4.0, -4.0, 4.0) == 0.0
-        assert rescale_affine(4.0, -4.0, 4.0) == 1.0
-        assert rescale_affine(0.0, -4.0, 4.0) == 0.5
-
-    def test_extrapolates(self):
-        assert rescale_affine(8.0, -4.0, 4.0) == 1.5
-
-    def test_requires_ordered_bounds(self):
-        with pytest.raises(ValueError):
-            rescale_affine(0.0, 1.0, 1.0)
+        assert (x - 0.0) / (0.463 - 0.0) == pytest.approx(u, abs=1e-12)
 
 
 class TestSampleSet:

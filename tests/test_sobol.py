@@ -1,20 +1,18 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from phonogap.sampling import lhs_sample
+from phonogap.sampling import _lhs_matrix, lhs_sample
 from phonogap.sobol import (
     ModelEvaluationError,
     ModelFunction,
     SobolFunctionEstimate,
     analytic_poly_model,
     analytic_poly_reference,
-    estimate_f0,
     estimate_sobol_function_1d,
     estimate_sobol_function_2d,
-    first_order_variance,
-    second_order_variance,
     sobol_indices,
-    total_variance,
 )
 
 from oracles import gauss_legendre
@@ -41,70 +39,60 @@ def quadrature_total_variance() -> float:
 
 class TestMeanAndVariance:
     def test_constant_model_mean(self):
+        # a constant model alone has zero variance: add the constant to POLY,
+        # which must move the mean by it and leave the variance alone
         s = lhs_sample(3, 50, 0)
-        assert estimate_f0(constant_model(3.25), s) == pytest.approx(3.25, abs=1e-12)
+        shifted = ModelFunction(3, lambda u: POLY.fn(u) + 3.25)
+        base, moved = sobol_indices(POLY, s), sobol_indices(shifted, s)
+        assert moved.f0 == pytest.approx(base.f0 + 3.25, rel=1e-12)
+        assert moved.total_variance == pytest.approx(base.total_variance, rel=1e-9)
 
     def test_poly_mean_matches_exact(self):
         s = lhs_sample(3, 4000, 5)
-        assert estimate_f0(POLY, s) == pytest.approx(56.533, abs=2.0)
+        assert sobol_indices(POLY, s).f0 == pytest.approx(56.533, abs=2.0)
 
     def test_identity_mean(self):
         f = ModelFunction(1, lambda u: u[:, 0], name="y1")
-        assert estimate_f0(f, lhs_sample(1, 2000, 0)) == pytest.approx(0.5, abs=0.02)
-
-    def test_constant_model_variance_clamped_to_zero(self):
-        s = lhs_sample(3, 50, 0)
-        assert total_variance(constant_model(7.0), s) == 0.0
+        assert sobol_indices(f, lhs_sample(1, 2000, 0)).f0 == pytest.approx(0.5, abs=0.02)
 
     def test_poly_variance_matches_quadrature(self):
         exact = quadrature_total_variance()
         assert exact == pytest.approx(REF.total_variance, rel=1e-12)
-        estimate = total_variance(POLY, lhs_sample(3, 4000, 5))
+        estimate = sobol_indices(POLY, lhs_sample(3, 4000, 5)).total_variance
         assert estimate == pytest.approx(exact, rel=0.10)
 
     def test_uniform_variance(self):
         f = ModelFunction(1, lambda u: u[:, 0], name="y1")
-        assert total_variance(f, lhs_sample(1, 2000, 0)) == pytest.approx(1 / 12, abs=0.005)
+        r = sobol_indices(f, lhs_sample(1, 2000, 0))
+        assert r.total_variance == pytest.approx(1 / 12, abs=0.005)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            estimate_f0(POLY, lhs_sample(2, 50, 0))
+            sobol_indices(POLY, lhs_sample(2, 50, 0))
 
 
 class TestPartialVariances:
     def test_poly_first_order(self):
-        s = lhs_sample(3, 3000, 42)
-        d = total_variance(POLY, s)
-        s1 = first_order_variance(POLY, s, 0) / d
-        s2 = first_order_variance(POLY, s, 1) / d
+        r = sobol_indices(POLY, lhs_sample(3, 3000, 42))
+        s1 = r.first_order[0] / r.total_variance
+        s2 = r.first_order[1] / r.total_variance
         assert abs(s1) < 0.05
         assert s2 == pytest.approx(0.4281, abs=0.05)
 
     def test_single_variable_model_first_order_is_total(self):
         f = ModelFunction(1, lambda u: u[:, 0], name="y1")
-        s = lhs_sample(1, 2000, 3)
-        d1 = first_order_variance(f, s, 0)
-        d = total_variance(f, s)
-        assert d1 / d == pytest.approx(1.0, abs=0.05)
+        r = sobol_indices(f, lhs_sample(1, 2000, 3), orders=(1,))
+        assert r.first_order[0] / r.total_variance == pytest.approx(1.0, abs=0.05)
 
     def test_poly_second_order(self):
-        s = lhs_sample(3, 3000, 42)
-        d = total_variance(POLY, s)
-        assert second_order_variance(POLY, s, 1, 2) / d == pytest.approx(0.5708, abs=0.10)
-        assert abs(second_order_variance(POLY, s, 0, 2) / d) < 0.08
+        r = sobol_indices(POLY, lhs_sample(3, 3000, 42))
+        assert r.second_order[1, 2] / r.total_variance == pytest.approx(0.5708, abs=0.10)
+        assert abs(r.second_order[0, 2] / r.total_variance) < 0.08
 
     def test_additive_model_has_no_interaction(self):
         f = ModelFunction(2, lambda u: u[:, 0] + u[:, 1], name="sum")
-        s = lhs_sample(2, 3000, 11)
-        d = total_variance(f, s)
-        assert abs(second_order_variance(f, s, 0, 1) / d) < 0.05
-
-    def test_index_validation(self):
-        s = lhs_sample(3, 100, 0)
-        with pytest.raises(IndexError):
-            first_order_variance(POLY, s, 5)
-        with pytest.raises(ValueError):
-            second_order_variance(POLY, s, 1, 1)
+        r = sobol_indices(f, lhs_sample(2, 3000, 11))
+        assert abs(r.second_order[0, 1] / r.total_variance) < 0.05
 
 
 class TestSobolIndices:
@@ -148,7 +136,9 @@ class TestSobolIndices:
         assert s1 + s2 + s12 == pytest.approx(1.0, abs=0.1)
 
     def test_indices_are_ratios_of_stored_variances(self):
-        r = sobol_indices(POLY, lhs_sample(3, 500, 9))
+        s = lhs_sample(3, 500, 9)
+        r = sobol_indices(POLY, s)
+        assert r.f0 == float(np.mean(POLY(s.original)))
         np.testing.assert_allclose(
             r.first_order_indices, r.first_order / r.total_variance, rtol=0, atol=0
         )
@@ -163,12 +153,34 @@ class TestSobolIndices:
             sobol_indices(POLY, lhs_sample(3, 500, 9), orders=(2,))
 
     def test_deterministic_and_thread_invariant(self):
-        a = sobol_indices(POLY, lhs_sample(3, 1500, 19), threads=1)
-        b = sobol_indices(POLY, lhs_sample(3, 1500, 19), threads=4)
+        # the engine keeps no state: a call from another thread gives the same bits
+        a = sobol_indices(POLY, lhs_sample(3, 1500, 19))
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            b = pool.submit(sobol_indices, POLY, lhs_sample(3, 1500, 19)).result()
         assert a.f0 == b.f0
         assert a.total_variance == b.total_variance
         np.testing.assert_array_equal(a.first_order, b.first_order)
         np.testing.assert_array_equal(a.second_order, b.second_order)
+
+    def test_stacked_evaluation_matches_per_matrix_loop(self):
+        # reference: one model call per matrix, reduced as before stacking
+        s = lhs_sample(3, 300, 8)
+        y = POLY.fn(s.original)
+        f0 = np.mean(y)
+
+        def mixed(*frozen):
+            m = s.complementary.copy()
+            m[:, frozen] = s.original[:, frozen]
+            return POLY.fn(m)
+
+        d1 = [np.mean(y * mixed(i)) - f0 * f0 for i in range(3)]
+        r = sobol_indices(POLY, s)
+        assert r.f0 == f0
+        assert r.total_variance == np.mean(y * y) - f0 * f0
+        np.testing.assert_array_equal(r.first_order, d1)
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            d_ij = np.mean(y * mixed(i, j)) - d1[i] - d1[j] - f0 * f0
+            assert r.second_order[i, j] == d_ij
 
     def test_residual_and_tables(self):
         r = sobol_indices(POLY, lhs_sample(3, 800, 4), dim_names=("x1", "x2", "x3"))
@@ -195,10 +207,33 @@ class TestEvaluationFailures:
         f = ModelFunction(3, fn, name="nan-model")
         s = lhs_sample(3, 64, 21)
         with pytest.raises(ModelEvaluationError) as err:
-            estimate_f0(f, s)
+            sobol_indices(f, s)
         idx = err.value.index
         assert s.original[idx, 0] > 0.9
         np.testing.assert_array_equal(err.value.point, s.original[idx])
+
+    def test_failure_in_a_mixed_matrix_reports_its_row(self):
+        s = lhs_sample(3, 64, 21)
+        # x1 from the original and x2 from the complementary: a row of
+        # the matrix that freezes x1 (and of the pair matrix (x1, x3))
+        target = np.array([s.original[5, 0], s.complementary[5, 1]])
+
+        def fn(u):
+            out = np.sum(u, axis=1)
+            out[np.all(u[:, :2] == target, axis=1)] = np.inf
+            return out
+
+        f = ModelFunction(3, fn, name="inf-model")
+        assert np.all(np.isfinite(f(s.original)))
+        with pytest.raises(ModelEvaluationError) as err:
+            sobol_indices(f, s)
+        assert err.value.index == 5
+        assert err.value.message == "model returned a non-finite value"
+        expected = s.complementary[5].copy()
+        expected[0] = s.original[5, 0]
+        np.testing.assert_array_equal(err.value.point, expected)
+        message = f"model returned a non-finite value at sample 5: {expected.tolist()}"
+        assert str(err.value) == message
 
 
 class TestSobolFunctions:
@@ -240,6 +275,35 @@ class TestSobolFunctions:
         f = ModelFunction(2, lambda u: u[:, 0] + u[:, 1], name="sum")
         est = estimate_sobol_function_2d(f, 0, 1, 16, 8, seed=2)
         assert np.max(np.abs(est.values)) < 1e-9
+
+    def test_surfaces_match_per_node_loop(self):
+        # reference: one model call per grid node, each with its own draw
+        grid_points, inner, seed = 6, 10, 5
+        grid = (np.arange(grid_points) + 0.5) / grid_points
+        seeds = np.random.SeedSequence(seed).spawn(grid_points * grid_points)
+        table = np.empty((grid_points, grid_points))
+        for a in range(grid_points):
+            for b in range(grid_points):
+                pts = np.empty((inner, 3))
+                rng = np.random.default_rng(seeds[a * grid_points + b])
+                pts[:, [1]] = _lhs_matrix(1, inner, rng)
+                pts[:, 2], pts[:, 0] = grid[a], grid[b]
+                table[a, b] = np.mean(POLY.fn(pts))
+        est = estimate_sobol_function_2d(POLY, 2, 0, grid_points, inner, seed=seed)
+        grand = np.mean(table)
+        expected = table - table.mean(axis=1, keepdims=True) - table.mean(axis=0, keepdims=True) + grand
+        assert est.f0 == grand
+        np.testing.assert_array_equal(est.values, expected)
+
+        seeds = np.random.SeedSequence(seed).spawn(grid_points)
+        means = np.empty(grid_points)
+        for a in range(grid_points):
+            pts = np.empty((inner, 3))
+            pts[:, [0, 2]] = _lhs_matrix(2, inner, np.random.default_rng(seeds[a]))
+            pts[:, 1] = grid[a]
+            means[a] = np.mean(POLY.fn(pts))
+        est = estimate_sobol_function_1d(POLY, 1, grid_points, inner, seed=seed)
+        np.testing.assert_array_equal(est.values, means - np.mean(means))
 
     def test_validation(self):
         with pytest.raises(ValueError):
