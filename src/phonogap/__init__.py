@@ -39,7 +39,6 @@ from .crystal import (
     dispersion_curve,
     first_band_gap,
     half_trace,
-    lame_from_e_nu,
     layer_transfer_matrix,
     objective,
     objective_model,
@@ -52,7 +51,6 @@ from .design import (
     DesignEquation,
     TruncationCurve,
     design_model,
-    eval_design_equation,
     fit_polynomial_surrogate,
     load_design_equations,
     scaled_l2_error,

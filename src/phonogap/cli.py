@@ -222,7 +222,10 @@ def _parse_point(text: str) -> np.ndarray:
         raise ConfigError(f"malformed parameter point {text!r}") from err
     if len(values) != 5:
         raise ConfigError("a design point needs five comma-separated values")
-    return np.asarray(values)
+    point = np.asarray(values)
+    if not (np.isfinite(point).all() and (point[:3] > 0.0).all()):
+        raise ConfigError(f"a design point needs finite values and positive ratios, got {text!r}")
+    return point
 
 
 def cmd_design(args: argparse.Namespace) -> int:
@@ -263,8 +266,33 @@ def cmd_design(args: argparse.Namespace) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer of at least ``low``."""
+
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as an invalid integer value
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return integer
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed recorded in every artifact")
+    parser.add_argument(
+        "--seed", type=_int_at_least(0), default=0, help="RNG seed recorded in every artifact"
+    )
     parser.add_argument(
         "--threads", type=int, default=1, help="accepted for compatibility; has no effect"
     )
@@ -282,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     pd = sub.add_parser("dispersion", help="dispersion curve CSV + band-gap summary")
     pd.add_argument("--cell", required=True, help="unit-cell JSON file")
     pd.add_argument("--pol", choices=["S", "P", "both"], default="both")
-    pd.add_argument("--omega-max", type=float, default=None, help="default: 8*pi/transit time")
-    pd.add_argument("--n-points", type=int, default=2000)
+    pd.add_argument("--omega-max", type=_positive_float, default=None, help="default: 8*pi/transit time")
+    pd.add_argument("--n-points", type=_int_at_least(2), default=2000)
     _add_common(pd)
     pd.set_defaults(func=cmd_dispersion)
 
@@ -302,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="Sobol' functions to export, e.g. 'x2;x2,x3' or 'rho2/rho1;rho2/rho1,h2/h1'",
     )
-    ps.add_argument("--grid", type=int, default=64, help="grid nodes per function axis")
-    ps.add_argument("--inner", type=int, default=128, help="inner samples per grid node")
+    ps.add_argument("--grid", type=_int_at_least(2), default=64, help="grid nodes per function axis")
+    ps.add_argument("--inner", type=_int_at_least(2), default=128, help="inner samples per grid node")
     _add_common(ps)
     ps.set_defaults(func=cmd_sobol)
 
@@ -311,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--kind", choices=["all", *KINDS], default="all")
     pg.add_argument("--mode", choices=["eval", "error", "truncation"], required=True)
     pg.add_argument("--params", default=None, help="five comma-separated values for eval mode")
-    pg.add_argument("--n", type=int, default=2000, help="samples for error/truncation modes")
+    pg.add_argument("--n", type=_int_at_least(2), default=2000, help="samples for error/truncation modes")
     _add_common(pg)
     pg.set_defaults(func=cmd_design)
 

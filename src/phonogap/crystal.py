@@ -58,7 +58,6 @@ __all__ = [
     "DispersionPoint",
     "NoBandGapError",
     "GapNotClosedError",
-    "lame_from_e_nu",
     "wave_speed",
     "layer_transfer_matrix",
     "cell_transfer_matrix",
@@ -84,10 +83,12 @@ NU_CAP = 0.463
 _GAP_GUARD = 1e-12
 
 #: General scan: grid steps per dispersion branch (the step is
-#: ``pi / (_SCAN_STEPS_PER_BRANCH * tau)``) and the search cap for the gap
-#: start, in Bragg frequencies ``pi / tau``.
+#: ``pi / (_SCAN_STEPS_PER_BRANCH * tau)``), the search cap for the gap
+#: start, in Bragg frequencies ``pi / tau``, and the absolute frequency
+#: tolerance to which both edges are bisected.
 _SCAN_STEPS_PER_BRANCH = 200
 _SCAN_CAP_BRAGG = 8.0
+_EDGE_TOL = 1e-9
 
 #: Safety cap on bisection steps; the bilayer brackets stop shrinking
 #: (adjacent doubles) after about 60.
@@ -129,23 +130,14 @@ class GapNotClosedError(RuntimeError):
 
 
 def _modulus(e_hat, nu, pol: Polarization):
-    """Shear (S) or longitudinal (P) modulus from Young's modulus and nu;
-    elementwise on arrays, same arithmetic as :func:`lame_from_e_nu`."""
+    """Shear (S) or longitudinal (P) modulus ``lambda + 2 mu`` from Young's
+    modulus and nu, with the isotropic Lame parameters
+    ``mu = E / (2 (1 + nu))`` and ``lambda = E nu / ((1 + nu)(1 - 2 nu))``;
+    elementwise on arrays."""
     mu = e_hat / (2.0 * (1.0 + nu))
     if pol is Polarization.S:
         return mu
     return e_hat * nu / ((1.0 + nu) * (1.0 - 2.0 * nu)) + 2.0 * mu
-
-
-def lame_from_e_nu(e_hat: float, nu: float) -> tuple[float, float]:
-    """Isotropic Lame parameters (lambda, mu) from Young's modulus and nu."""
-    if e_hat <= 0:
-        raise ValueError("Young's modulus must be positive")
-    if not 0.0 <= nu < 0.5:
-        raise ValueError(f"Poisson's ratio {nu} is singular or unphysical (need 0 <= nu < 0.5)")
-    mu = e_hat / (2.0 * (1.0 + nu))
-    lam = e_hat * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
-    return lam, mu
 
 
 @dataclass(frozen=True)
@@ -464,7 +456,6 @@ def _refine_edge(
     scalar: Callable[[float], float],
     lo: float,
     hi: float,
-    edge_tol: float,
     entering: bool,
 ) -> float:
     """Bisect |half_trace|-1 between a passband point and a gap point.
@@ -486,7 +477,7 @@ def _refine_edge(
             hi = mid
         else:
             lo = mid
-        if hi - lo <= edge_tol and abs(g(0.5 * (lo + hi))) < 10.0 * edge_tol:
+        if hi - lo <= _EDGE_TOL and abs(g(0.5 * (lo + hi))) < 10.0 * _EDGE_TOL:
             break
     return 0.5 * (lo + hi)
 
@@ -527,7 +518,7 @@ def bilayer_first_gaps(
     return edges[0], edges[1]
 
 
-def _scan_first_gap(cell: UnitCell, pol: Polarization, edge_tol: float) -> BandGap | None:
+def _scan_first_gap(cell: UnitCell, pol: Polarization) -> BandGap | None:
     """Grid scan for stacks without a Bragg bracket; see :func:`first_band_gap`."""
     grid = _ht_grid(cell, pol)
 
@@ -554,7 +545,7 @@ def _scan_first_gap(cell: UnitCell, pol: Polarization, edge_tol: float) -> BandG
         return None
 
     lo = step * (start_idx - 1)  # half_trace -> 1 as omega -> 0, so lo=0 is outside
-    start = _refine_edge(scalar, lo, step * start_idx, edge_tol, entering=True)
+    start = _refine_edge(scalar, lo, step * start_idx, entering=True)
 
     # The gap must close: passbands recur on every dispersion branch, but
     # strong impedance contrast makes some of them far narrower than the
@@ -580,11 +571,11 @@ def _scan_first_gap(cell: UnitCell, pol: Polarization, edge_tol: float) -> BandG
                 break
             x_min, f_min = _golden_min(g_abs, step * (base + m - 1), step * (base + m + 1))
             if f_min < 1.0:
-                end = _refine_edge(scalar, step * (base + m - 1), x_min, edge_tol, entering=False)
+                end = _refine_edge(scalar, step * (base + m - 1), x_min, entering=False)
                 break
         if end is None and first_below < len(seq):
             idx = base + first_below
-            end = _refine_edge(scalar, step * (idx - 1), step * idx, edge_tol, entering=False)
+            end = _refine_edge(scalar, step * (idx - 1), step * idx, entering=False)
         tail = seq[-2:]
         tail_start = hi_k - 2
         k = hi_k
@@ -597,29 +588,26 @@ def _scan_first_gap(cell: UnitCell, pol: Polarization, edge_tol: float) -> BandG
     return BandGap(start=start, end=end)
 
 
-def first_band_gap(
-    cell: UnitCell, pol: Polarization | str, edge_tol: float = 1e-9
-) -> BandGap | None:
+def first_band_gap(cell: UnitCell, pol: Polarization | str) -> BandGap | None:
     """Locate the first band gap, or return None when there is none.
 
     Two-layer cells go to :func:`bilayer_first_gaps` as one row: both edges
-    are bisected on their Bragg brackets to the last bit, far below
-    ``edge_tol``, and every gap is found however narrow, down to the
-    rounding guard on ``ht(pi/tau) + 1``.
+    are bisected on their Bragg brackets to the last bit, and every gap is
+    found however narrow, down to the rounding guard on ``ht(pi/tau) + 1``.
 
     Other stacks are scanned upward from zero in steps of
     ``pi / (200 tau)`` (``tau`` the cell transit time, so every dispersion
     branch gets about 200 samples) up to ``8 pi / tau``.  The first
     excursion of ``|half_trace|`` above one is bracketed and both edges are
-    bisected to ``edge_tol``; gaps narrower than the scan step are treated
-    as no gap.  Raises :class:`GapNotClosedError` when the gap does not
+    bisected to ``_EDGE_TOL`` (1e-9); gaps narrower than the scan step are
+    treated as no gap.  Raises :class:`GapNotClosedError` when the gap does not
     close within four times that cap.
     """
     pol = Polarization(pol)
     if cell.n_layers == 2:
         start, end = bilayer_first_gaps(_bilayer_point(cell), pol)
         return None if math.isnan(start[0]) else BandGap(float(start[0]), float(end[0]))
-    return _scan_first_gap(cell, pol, edge_tol)
+    return _scan_first_gap(cell, pol)
 
 
 def _objective_values(points: np.ndarray, kind: ObjectiveKind) -> np.ndarray:

@@ -35,7 +35,6 @@ __all__ = [
     "TruncationCurve",
     "ExtrapolationWarning",
     "load_design_equations",
-    "eval_design_equation",
     "design_model",
     "scaled_l2_error",
     "truncation_curve",
@@ -200,11 +199,6 @@ def load_design_equations() -> dict[str, DesignEquation]:
     return out
 
 
-def eval_design_equation(kind: str, params: Sequence[float] | np.ndarray, n_terms: int | None = None):
-    """Evaluate one design equation at physical parameters (omega_hat units)."""
-    return load_design_equations()[str(kind)].evaluate(np.asarray(params, dtype=float), n_terms)
-
-
 def design_model(kind: str, n_terms: int | None = None) -> ModelFunction:
     """Design equation wrapped as a unit-hypercube model (for error studies)."""
     eq = load_design_equations()[str(kind)]
@@ -227,8 +221,12 @@ def scaled_l2_error(
     normalized by the exact model's variance estimate on the same rows."""
     if exact.n_dims != surrogate.n_dims or exact.n_dims != samples.n_dims:
         raise ValueError("exact, surrogate and samples must share dimensionality")
-    y = _evaluate(exact, samples.original)
-    y_hat = _evaluate(surrogate, samples.original)
+    return _scaled_error(_evaluate(exact, samples.original), _evaluate(surrogate, samples.original))
+
+
+def _scaled_error(y: np.ndarray, y_hat: np.ndarray) -> float:
+    """Mean squared error of ``y_hat`` over the variance of ``y`` (both
+    moments taken over the same rows)."""
     mean = float(np.mean(y))
     variance = float(np.mean(y * y) - mean * mean)
     if variance <= 0.0:
@@ -261,34 +259,23 @@ class TruncationCurve:
         }
 
 
-def truncation_curve(
-    kind: str,
-    samples: SampleSet,
-    exact: ModelFunction | None = None,
-) -> TruncationCurve:
-    """Error-vs-terms curve for one design equation.
+def truncation_curve(kind: str, samples: SampleSet) -> TruncationCurve:
+    """Error-vs-terms curve for one design equation against the
+    transfer-matrix objective of the same kind.
 
     The exact responses are computed once; each truncation level only
-    re-evaluates the cheap surrogate.  ``exact`` defaults to the
-    transfer-matrix objective of the same kind.
+    re-evaluates the cheap surrogate.
     """
-    eq = load_design_equations()[str(kind)]
-    if exact is None:
-        from .crystal import objective_model
+    from .crystal import objective_model  # per call: perfbench/spans.py rebinds it
 
-        exact = objective_model(kind)
-    y = _evaluate(exact, samples.original)
-    mean = float(np.mean(y))
-    variance = float(np.mean(y * y) - mean * mean)
-    if variance <= 0.0:
-        raise ValueError("exact model has zero variance on this sample set")
+    eq = load_design_equations()[str(kind)]
+    y = _evaluate(objective_model(kind), samples.original)
     pts = map_to_space(samples.original, canonical_space())
     deltas = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ExtrapolationWarning)
         for k in range(eq.n_terms + 1):
-            y_hat = np.asarray(eq.evaluate(pts, n_terms=k), dtype=float)
-            deltas.append(float(np.mean((y - y_hat) ** 2) / variance))
+            deltas.append(_scaled_error(y, np.asarray(eq.evaluate(pts, n_terms=k), dtype=float)))
     return TruncationCurve(
         kind=str(kind), deltas=tuple(deltas), n_samples=samples.n_samples, seed=samples.seed
     )

@@ -12,8 +12,7 @@ hypercube, using the classic freeze-and-resample scheme on a paired
 
 where ``x~im^c`` takes every coordinate except ``i`` from the
 complementary matrix, row-aligned with the original.  Small negative
-estimates are Monte Carlo noise and are reported raw; presentation
-helpers can clamp them for summary tables.
+estimates are Monte Carlo noise and are reported raw.
 
 All ``1 + d + d(d-1)/2`` matrices of a study are stacked and evaluated
 in one model call.
@@ -30,7 +29,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -77,12 +76,6 @@ class ModelFunction:
     n_dims: int
     fn: Callable[[np.ndarray], np.ndarray]
     name: str = "model"
-
-    def __call__(self, u: np.ndarray) -> np.ndarray | float:
-        u = np.asarray(u, dtype=float)
-        if u.ndim == 1:
-            return float(self.fn(u[None, :])[0])
-        return np.asarray(self.fn(u), dtype=float)
 
 
 def _evaluate(model: ModelFunction, matrix: np.ndarray) -> np.ndarray:
@@ -131,21 +124,15 @@ class SobolResult:
     total_variance: float
     first_order: np.ndarray
     first_order_indices: np.ndarray
-    second_order: np.ndarray | None = None
-    second_order_indices: np.ndarray | None = None
+    second_order: np.ndarray
+    second_order_indices: np.ndarray
     dim_names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        for label in ("first_order", "first_order_indices"):
+        for label in ("first_order", "first_order_indices", "second_order", "second_order_indices"):
             v = np.asarray(getattr(self, label), dtype=float)
             v.flags.writeable = False
             object.__setattr__(self, label, v)
-        for label in ("second_order", "second_order_indices"):
-            v = getattr(self, label)
-            if v is not None:
-                v = np.asarray(v, dtype=float)
-                v.flags.writeable = False
-                object.__setattr__(self, label, v)
         if not self.dim_names:
             object.__setattr__(
                 self, "dim_names", tuple(f"x{k + 1}" for k in range(len(self.first_order)))
@@ -155,31 +142,23 @@ class SobolResult:
     def n_dims(self) -> int:
         return len(self.first_order)
 
+    def _pairs(self) -> list[tuple[int, int]]:
+        return list(itertools.combinations(range(self.n_dims), 2))
+
     @property
     def residual(self) -> float:
         """1 - sum of estimated indices: higher-order effects plus noise."""
-        total = float(np.sum(self.first_order_indices))
-        if self.second_order_indices is not None:
-            total += float(np.sum(self.second_order_indices))
+        total = float(np.sum(self.first_order_indices)) + float(np.sum(self.second_order_indices))
         return 1.0 - total
 
-    def index_table(self, clamp_negative: bool = False) -> list[tuple[str, float]]:
-        """(label, index) rows, first order then pairs; optional clamping
-        of negative Monte Carlo estimates for presentation."""
+    def index_table(self) -> list[tuple[str, float]]:
+        """(label, index) rows, first order then pairs, unclamped."""
         rows: list[tuple[str, float]] = []
         for i, name in enumerate(self.dim_names):
             rows.append((f"S[{name}]", float(self.first_order_indices[i])))
-        if self.second_order_indices is not None:
-            for i in range(self.n_dims):
-                for j in range(i + 1, self.n_dims):
-                    rows.append(
-                        (
-                            f"S[{self.dim_names[i]},{self.dim_names[j]}]",
-                            float(self.second_order_indices[i, j]),
-                        )
-                    )
-        if clamp_negative:
-            rows = [(k, max(v, 0.0)) for k, v in rows]
+        for i, j in self._pairs():
+            label = f"S[{self.dim_names[i]},{self.dim_names[j]}]"
+            rows.append((label, float(self.second_order_indices[i, j])))
         return rows
 
     def to_json_dict(self) -> dict:
@@ -194,16 +173,13 @@ class SobolResult:
             "first_order_variances": self.first_order.tolist(),
             "first_order_indices": self.first_order_indices.tolist(),
             "residual_higher_order_plus_noise": self.residual,
+            "second_order": {},
         }
-        if self.second_order is not None:
-            pairs = {}
-            for i in range(self.n_dims):
-                for j in range(i + 1, self.n_dims):
-                    pairs[f"{self.dim_names[i]}|{self.dim_names[j]}"] = {
-                        "variance": float(self.second_order[i, j]),
-                        "index": float(self.second_order_indices[i, j]),
-                    }
-            out["second_order"] = pairs
+        for i, j in self._pairs():
+            out["second_order"][f"{self.dim_names[i]}|{self.dim_names[j]}"] = {
+                "variance": float(self.second_order[i, j]),
+                "index": float(self.second_order_indices[i, j]),
+            }
         return out
 
     def to_csv_rows(self) -> list[list[str]]:
@@ -213,17 +189,15 @@ class SobolResult:
             rows.append(
                 [name, "1", _fmt(self.first_order[i]), _fmt(self.first_order_indices[i])]
             )
-        if self.second_order is not None:
-            for i in range(self.n_dims):
-                for j in range(i + 1, self.n_dims):
-                    rows.append(
-                        [
-                            f"{self.dim_names[i]}|{self.dim_names[j]}",
-                            "2",
-                            _fmt(self.second_order[i, j]),
-                            _fmt(self.second_order_indices[i, j]),
-                        ]
-                    )
+        for i, j in self._pairs():
+            rows.append(
+                [
+                    f"{self.dim_names[i]}|{self.dim_names[j]}",
+                    "2",
+                    _fmt(self.second_order[i, j]),
+                    _fmt(self.second_order_indices[i, j]),
+                ]
+            )
         return rows
 
 
@@ -234,10 +208,9 @@ def _fmt(x: float) -> str:
 def sobol_indices(
     model: ModelFunction,
     samples: SampleSet,
-    orders: Iterable[int] = (1, 2),
     dim_names: Sequence[str] | None = None,
 ) -> SobolResult:
-    """Full study: mean, total variance, requested-order partial variances.
+    """Full study: mean, total variance, first- and second-order partial variances.
 
     The original matrix and every mixed matrix are stacked and evaluated
     in one model call, so the stored indices are mutually consistent
@@ -245,13 +218,8 @@ def sobol_indices(
     reported by its index within its own ``N``-row matrix.
     """
     _check_dims(model, samples)
-    orders = set(int(o) for o in orders)
-    if not orders or not orders.issubset({1, 2}):
-        raise ValueError("orders must be {1} or {1, 2}")
-    if 1 not in orders:
-        raise ValueError("first order is always required")
     n = samples.n_dims
-    pairs = list(itertools.combinations(range(n), 2)) if 2 in orders else []
+    pairs = list(itertools.combinations(range(n), 2))
 
     stacked = _stacked_matrix(samples, [(i,) for i in range(n)] + pairs)
     try:
@@ -268,12 +236,9 @@ def sobol_indices(
     for i in range(n):
         d_first[i] = np.mean(y * blocks[1 + i]) - f0 * f0
 
-    d_second = s_second = None
-    if pairs:
-        d_second = np.zeros((n, n))
-        for k, (i, j) in enumerate(pairs):
-            d_second[i, j] = np.mean(y * blocks[1 + n + k]) - d_first[i] - d_first[j] - f0 * f0
-        s_second = d_second / d_total
+    d_second = np.zeros((n, n))
+    for k, (i, j) in enumerate(pairs):
+        d_second[i, j] = np.mean(y * blocks[1 + n + k]) - d_first[i] - d_first[j] - f0 * f0
 
     return SobolResult(
         model=model.name,
@@ -284,7 +249,7 @@ def sobol_indices(
         first_order=d_first,
         first_order_indices=d_first / d_total,
         second_order=d_second,
-        second_order_indices=s_second,
+        second_order_indices=d_second / d_total,
         dim_names=tuple(dim_names) if dim_names else (),
     )
 

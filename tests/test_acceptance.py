@@ -248,7 +248,7 @@ def test_criterion_09_sp_first_term_drop(truncation_curves, study_samples):
     # floor is the best total-degree-8 polynomial in those inputs, fitted on
     # the same rows; the shipped term must come within 0.01 of it.
     eq = load_design_equations()["SP"]
-    y = objective_model("SP")(study_samples.original)
+    y = objective_model("SP").fn(study_samples.original)
     coords = eq.transform(map_to_space(study_samples.original, canonical_space()))
     inputs = eq.terms[0].inputs
     x = np.column_stack([coords[name] for name in inputs])

@@ -8,6 +8,7 @@ import pytest
 import phonogap.crystal
 from phonogap.cli import main
 from phonogap.crystal import Layer, UnitCell, two_layer_cell
+from phonogap.design import ExtrapolationWarning
 from phonogap.sampling import (
     ParameterDef, ParameterSpace, canonical_space, lhs_sample, map_to_space,
 )
@@ -241,6 +242,36 @@ class TestDesignCommand:
         assert deltas[0] == pytest.approx(1.0, abs=0.02)
         assert len(deltas) == 4
 
+    @pytest.mark.parametrize(
+        "params", ["-1,2,2,0.2,0.2", "0,2,2,0.2,0.2", "nan,2,2,0.2,0.2", "1000,2,inf,0.2,0.2"]
+    )
+    def test_eval_rejects_invalid_point(self, tmp_path, capsys, params):
+        code = main(["design", "--mode", "eval", f"--params={params}", "--out", str(tmp_path)])
+        assert code == 2
+        assert "positive ratios" in capsys.readouterr().err
+        assert not (tmp_path / "design_eval.json").exists()
+
+    def test_eval_outside_box_warns_and_evaluates(self, tmp_path):
+        with pytest.warns(ExtrapolationWarning):
+            code = main(
+                ["design", "--mode", "eval", "--params", "5,2,2,0.2,0.2", "--out", str(tmp_path)]
+            )
+        assert code == 0
+        pred = json.loads((tmp_path / "design_eval.json").read_text())["predictions_omega_hat"]
+        assert all(math.isfinite(v) for v in pred.values())
+
+    def test_error_mode_is_the_last_truncation_level(self, tmp_path):
+        for mode in ("error", "truncation"):
+            code = main(
+                ["design", "--mode", mode, "--n", "300", "--seed", "6", "--out", str(tmp_path)]
+            )
+            assert code == 0
+        delta = json.loads((tmp_path / "design_error.json").read_text())["delta"]
+        curves = json.loads((tmp_path / "design_truncation.json").read_text())["curves"]
+        assert set(delta) == set(curves) == {"SS", "WS", "SP", "WP"}
+        for kind, curve in curves.items():
+            assert delta[kind] == curve["delta_by_k"][-1]
+
     def test_error_mode_thread_invariance(self, tmp_path):
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"
@@ -282,6 +313,31 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             main(["sobol", "--target", "nonsense"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["sobol", "--target", "poly", "--functions", "x1", "--grid", "1"], "--grid"),
+            (["sobol", "--target", "poly", "--functions", "x1", "--inner", "1"], "--inner"),
+            (["design", "--mode", "error", "--n", "1"], "--n"),
+            (["design", "--mode", "truncation", "--n", "1"], "--n"),
+            (["dispersion", "--cell", "cell.json", "--n-points", "1"], "--n-points"),
+            (["dispersion", "--cell", "cell.json", "--omega-max", "-1"], "--omega-max"),
+            (["dispersion", "--cell", "cell.json", "--omega-max", "nan"], "--omega-max"),
+            (["design", "--mode", "error", "--seed", "-1"], "--seed"),
+        ],
+        ids=[
+            "grid", "inner", "error-n", "truncation-n", "n-points", "omega-max-negative",
+            "omega-max-nan", "seed",
+        ],
+    )
+    def test_bad_numeric_arguments_exit_2(self, tmp_path, capsys, argv, option):
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--out", str(tmp_path)])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert f"argument {option}: expected" in stderr and "Traceback" not in stderr
+        assert not any(tmp_path.iterdir())
 
     def test_gap_free_sobol_point_exits_1(self, tmp_path, capsys):
         space_file = tmp_path / "space.json"

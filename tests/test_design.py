@@ -8,7 +8,6 @@ from phonogap.design import (
     KINDS,
     ExtrapolationWarning,
     design_model,
-    eval_design_equation,
     fit_polynomial_surrogate,
     load_design_equations,
     scaled_l2_error,
@@ -116,36 +115,36 @@ class TestCoefficientTables:
 
 class TestEvaluation:
     def test_constant_only_truncation(self):
-        value = eval_design_equation("WP", REFERENCE_PARAMS, n_terms=0)
+        value = load_design_equations()["WP"].evaluate(REFERENCE_PARAMS, n_terms=0)
         assert value == pytest.approx(1.0021 * TWO_PI, rel=1e-12)
 
     def test_prediction_near_solver_at_reference_cell(self):
         # bound = 3*sqrt(delta * D) with delta=0.0086 and the start-objective
         # variance D ~= 0.473 measured at N=2000
-        pred = eval_design_equation("SS", REFERENCE_PARAMS)
+        pred = load_design_equations()["SS"].evaluate(REFERENCE_PARAMS)
         exact = objective(REFERENCE_PARAMS, "SS")
         assert abs(pred - exact) < 3.0 * math.sqrt(0.0086 * 0.473)
 
     def test_start_predictions_ordered(self):
-        ss = eval_design_equation("SS", REFERENCE_PARAMS)
-        sp = eval_design_equation("SP", REFERENCE_PARAMS)
+        ss = load_design_equations()["SS"].evaluate(REFERENCE_PARAMS)
+        sp = load_design_equations()["SP"].evaluate(REFERENCE_PARAMS)
         assert ss < sp
 
     def test_vectorized_evaluation(self):
         pts = np.vstack([REFERENCE_PARAMS, REFERENCE_PARAMS])
-        values = eval_design_equation("WS", pts)
+        values = load_design_equations()["WS"].evaluate(pts)
         assert values.shape == (2,)
         assert values[0] == values[1]
 
     def test_extrapolation_warns_but_returns(self):
         outside = np.array([5.0, 2.0, 2.0, 0.2, 0.2])
         with pytest.warns(ExtrapolationWarning):
-            value = eval_design_equation("SS", outside)
+            value = load_design_equations()["SS"].evaluate(outside)
         assert np.isfinite(value)
 
     def test_unknown_kind(self):
         with pytest.raises(KeyError):
-            eval_design_equation("XX", REFERENCE_PARAMS)
+            load_design_equations()["XX"].evaluate(REFERENCE_PARAMS)
 
 
 class TestScaledL2Error:
@@ -194,11 +193,6 @@ class TestTruncationCurve:
         assert curve.deltas[-1] < 0.05
         payload = curve.to_json_dict()
         assert payload["kind"] == "SS" and len(payload["delta_by_k"]) == 4
-
-    def test_accepts_precomputed_exact_model(self):
-        samples = lhs_sample(5, 300, 8)
-        curve = truncation_curve("SS", samples, exact=objective_model("SS"))
-        assert curve.deltas[0] == pytest.approx(1.0, abs=0.02)
 
 
 class TestPolynomialSurrogateFit:
