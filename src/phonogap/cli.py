@@ -158,6 +158,8 @@ def _parse_function_requests(spec: str | None, names: tuple[str, ...]) -> list[t
             raise ConfigError(f"unknown dimension in --functions: {part} (choose from {names})") from err
         if len(axes) not in (1, 2):
             raise ConfigError(f"--functions entries take one or two dimensions, got {part!r}")
+        if len(set(axes)) != len(axes):
+            raise ConfigError(f"repeated dimension in --functions: {part!r}")
         requests.append(axes)
     return requests
 
@@ -177,12 +179,13 @@ def cmd_sobol(args: argparse.Namespace) -> int:
         except ValueError as err:
             raise ConfigError(f"space file {args.space}: {err}") from err
         names = space.names
+    requests = _parse_function_requests(args.functions, names)
     samples = lhs_sample(model.n_dims, args.n, args.seed)
     result = sobol_indices(model, samples, dim_names=names)
     (out / "sobol_result.json").write_text(result_to_json(result))
     _write_table(out, "sobol_indices", result.to_csv_rows(), args.format)
 
-    for axes in _parse_function_requests(args.functions, names):
+    for axes in requests:
         tag = "-".join(names[a].replace("/", "_") for a in axes)
         if len(axes) == 1:
             est = estimate_sobol_function_1d(model, axes[0], args.grid, args.inner, seed=args.seed)

@@ -19,8 +19,10 @@ in one model call.
 
 Pointwise Sobol' functions (the conditional-mean components of the
 ANOVA decomposition) are estimated on a regular grid over the frozen
-axis (or axes), each node averaging the model over an inner Latin
-Hypercube sample of the remaining dimensions.
+axis (or axes).  Every node averages the model over the same inner
+Latin Hypercube sample of the remaining dimensions, drawn once per
+surface: with these common random numbers the inner-sample error is
+mostly a shift shared by all nodes, which centering removes.
 
 Everything here is deterministic given (model, seed, N).
 """
@@ -150,16 +152,6 @@ class SobolResult:
         """1 - sum of estimated indices: higher-order effects plus noise."""
         total = float(np.sum(self.first_order_indices)) + float(np.sum(self.second_order_indices))
         return 1.0 - total
-
-    def index_table(self) -> list[tuple[str, float]]:
-        """(label, index) rows, first order then pairs, unclamped."""
-        rows: list[tuple[str, float]] = []
-        for i, name in enumerate(self.dim_names):
-            rows.append((f"S[{name}]", float(self.first_order_indices[i])))
-        for i, j in self._pairs():
-            label = f"S[{self.dim_names[i]},{self.dim_names[j]}]"
-            rows.append((label, float(self.second_order_indices[i, j])))
-        return rows
 
     def to_json_dict(self) -> dict:
         out = {
@@ -310,21 +302,19 @@ def _conditional_means(
     model: ModelFunction,
     axes: Sequence[int],
     nodes: np.ndarray,
-    inner_samples: int,
-    seeds: Sequence[np.random.SeedSequence],
+    inner: np.ndarray,
 ) -> np.ndarray:
-    """Inner-sample mean of the model at each node, in one model call.
+    """Mean of the model over the shared ``inner`` sample at each node, in
+    one model call.
 
     Row ``a`` of ``nodes`` fixes the coordinates ``axes``; the remaining
-    dimensions take one Latin Hypercube draw from ``seeds[a]``.
+    dimensions, in increasing order, take the columns of ``inner``.
     """
     rest = [k for k in range(model.n_dims) if k not in axes]
-    pts = np.empty((len(nodes), inner_samples, model.n_dims))
-    for node, seq, block in zip(nodes, seeds, pts):
-        if rest:
-            block[:, rest] = _lhs_matrix(len(rest), inner_samples, np.random.default_rng(seq))
-        block[:, list(axes)] = node
-    values = _evaluate(model, pts.reshape(-1, model.n_dims)).reshape(len(nodes), inner_samples)
+    pts = np.empty((len(nodes), len(inner), model.n_dims))
+    pts[:, :, rest] = inner
+    pts[:, :, list(axes)] = nodes[:, None, :]
+    values = _evaluate(model, pts.reshape(-1, model.n_dims)).reshape(len(nodes), len(inner))
     return values.mean(axis=1)
 
 
@@ -337,17 +327,20 @@ def estimate_sobol_function_1d(
 ) -> SobolFunctionEstimate:
     """First-order Sobol' function of dimension ``i`` on a midpoint grid.
 
-    Each node averages the model over ``inner_samples`` Latin Hypercube
-    draws of the remaining dimensions; the grand mean over all nodes is
-    subtracted so the estimate integrates to ~zero by construction.
+    Every node averages the model over one shared sample of
+    ``inner_samples`` Latin Hypercube draws of the remaining dimensions.
+    It is drawn from ``default_rng(seed)``, i.e. the root
+    ``SeedSequence(seed)`` itself, a stream distinct from the two children
+    behind ``lhs_sample``.  The grand mean over all nodes is subtracted so
+    the estimate integrates to ~zero by construction.
     """
     if grid_points < 2 or inner_samples < 2:
         raise ValueError("grid_points and inner_samples must both be at least 2")
     if not 0 <= i < model.n_dims:
         raise IndexError(f"dimension index {i} out of range")
     grid = _midpoint_grid(grid_points)
-    seeds = np.random.SeedSequence(seed).spawn(grid_points)
-    means = _conditional_means(model, (i,), grid[:, None], inner_samples, seeds)
+    inner = _lhs_matrix(model.n_dims - 1, inner_samples, np.random.default_rng(seed))
+    means = _conditional_means(model, (i,), grid[:, None], inner)
     f0 = float(np.mean(means))
     return SobolFunctionEstimate(
         axes=(i,),
@@ -370,10 +363,12 @@ def estimate_sobol_function_2d(
 ) -> SobolFunctionEstimate:
     """Second-order Sobol' function of the pair ``(i, j)``.
 
-    Builds the grid of conditional means over the remaining dimensions,
-    then removes both marginal means and the grand mean (the standard
-    two-way ANOVA interaction residual), which subtracts the first-order
-    surfaces estimated from the same evaluation budget.
+    Builds the grid of conditional means over one inner sample of the
+    remaining dimensions, shared by every node and drawn from ``seed`` as
+    in :func:`estimate_sobol_function_1d`, then removes both marginal
+    means and the grand mean (the standard two-way ANOVA interaction
+    residual), which subtracts the first-order surfaces estimated from
+    the same evaluation budget.
     """
     if i == j:
         raise ValueError("second-order function needs two distinct dimensions")
@@ -383,12 +378,11 @@ def estimate_sobol_function_2d(
         if not 0 <= k < model.n_dims:
             raise IndexError(f"dimension index {k} out of range")
     grid = _midpoint_grid(grid_points)
-    seeds = np.random.SeedSequence(seed).spawn(grid_points * grid_points)
+    inner = _lhs_matrix(model.n_dims - 2, inner_samples, np.random.default_rng(seed))
     table = np.empty((grid_points, grid_points))
     for a in range(grid_points):  # one model call per grid line bounds the memory
         nodes = np.column_stack([np.full(grid_points, grid[a]), grid])
-        line_seeds = seeds[a * grid_points:(a + 1) * grid_points]
-        table[a] = _conditional_means(model, (i, j), nodes, inner_samples, line_seeds)
+        table[a] = _conditional_means(model, (i, j), nodes, inner)
     grand = float(np.mean(table))
     interaction = table - table.mean(axis=1, keepdims=True) - table.mean(axis=0, keepdims=True) + grand
     return SobolFunctionEstimate(

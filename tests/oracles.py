@@ -1,4 +1,4 @@
-"""Independent slow-path oracles used only by the tests.
+"""Independent slow-path oracles and helpers used only by the tests.
 
 These deliberately avoid the production fast paths: the layer matrix is
 rebuilt from the sinusoid/stress coefficient matrices and a numerical
@@ -7,6 +7,7 @@ refinement, and half traces always go through the matrix product.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from phonogap.crystal import (
     transit_time,
     wave_speed,
 )
+from phonogap.sobol import SobolResult
 
 
 def state_matrix(layer: Layer, z_hat: float, omega_hat: float, pol: Polarization) -> np.ndarray:
@@ -111,3 +113,12 @@ def gauss_legendre(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray
     x, w = np.polynomial.legendre.leggauss(n)
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), w * half
+
+
+def index_table(result: SobolResult) -> list[tuple[str, float]]:
+    """(label, index) rows of a Sobol' study, first order then pairs, unclamped."""
+    names = result.dim_names
+    rows = [(f"S[{name}]", float(s)) for name, s in zip(names, result.first_order_indices)]
+    for i, j in itertools.combinations(range(len(names)), 2):
+        rows.append((f"S[{names[i]},{names[j]}]", float(result.second_order_indices[i, j])))
+    return rows

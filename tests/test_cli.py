@@ -155,6 +155,17 @@ class TestSobolCommand:
         assert code == 2
         assert "unknown dimension" in capsys.readouterr().err
 
+    def test_repeated_function_dimension_exits_2(self, tmp_path, capsys):
+        code = main(
+            ["sobol", "--target", "poly", "--n", "200", "--out", str(tmp_path),
+             "--functions", "x2;x1,x1"]
+        )
+        assert code == 2
+        stderr = capsys.readouterr().err
+        assert "repeated dimension in --functions: 'x1,x1'" in stderr
+        assert "Traceback" not in stderr
+        assert not any(tmp_path.iterdir())
+
     def test_small_n_rejected(self, tmp_path, capsys):
         code = main(["sobol", "--target", "poly", "--n", "50", "--out", str(tmp_path)])
         assert code == 2
