@@ -27,7 +27,7 @@ from .sobol import (
 from .crystal import (
     NU_CAP,
     BandGap,
-    DispersionPoint,
+    DispersionCurve,
     GapNotClosedError,
     Layer,
     NoBandGapError,

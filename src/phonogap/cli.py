@@ -35,7 +35,6 @@ from .crystal import (
     NoBandGapError,
     Polarization,
     UnitCell,
-    dispersion_csv_rows,
     dispersion_curve,
     first_band_gap,
     objective_model,
@@ -127,8 +126,12 @@ def cmd_dispersion(args: argparse.Namespace) -> int:
     pols = _polarizations(args.pol)
     for pol in pols:
         omega_max = args.omega_max or 8.0 * math.pi / transit_time(cell, pol)
-        points = dispersion_curve(cell, omega_max, args.n_points, pol)
-        _write_table(out, f"dispersion_{pol.value}", dispersion_csv_rows(points), args.format)
+        lines = dispersion_curve(cell, omega_max, args.n_points, pol).csv_lines()
+        name = f"dispersion_{pol.value}"
+        if args.format == "csv":
+            (out / f"{name}.csv").write_text("".join(lines))
+        else:
+            _write_table(out, name, [line[:-1].split(",") for line in lines], "json")
     _write_json(out / "bandgap_summary.json", _gap_summary(cell, pols, args.seed))
     print(f"wrote dispersion data for {', '.join(p.value for p in pols)} to {out}")
     return 0

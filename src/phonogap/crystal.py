@@ -33,7 +33,8 @@ contrast, and at twice that frequency it is at least 1.  So the first gap
 starts at the only root of ``ht + 1`` in ``(0, pi/tau)`` and ends at the
 only root in ``(pi/tau, 2 pi/tau)``; :func:`bilayer_first_gaps` bisects
 both brackets for many cells at once.  Stacks of three or more layers
-have no such bracket and go through a grid scan with edge refinement.
+have no such bracket and go through a grid scan; each edge the scan
+brackets is then refined by k-section to adjacent doubles.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,7 +56,7 @@ __all__ = [
     "Layer",
     "UnitCell",
     "BandGap",
-    "DispersionPoint",
+    "DispersionCurve",
     "NoBandGapError",
     "GapNotClosedError",
     "wave_speed",
@@ -84,14 +85,15 @@ _GAP_GUARD = 1e-12
 
 #: General scan: grid steps per dispersion branch (the step is
 #: ``pi / (_SCAN_STEPS_PER_BRANCH * tau)``), the search cap for the gap
-#: start, in Bragg frequencies ``pi / tau``, and the absolute frequency
-#: tolerance to which both edges are bisected.
+#: start, in Bragg frequencies ``pi / tau``, and the interior points per
+#: k-section step of the edge refinement.
 _SCAN_STEPS_PER_BRANCH = 200
 _SCAN_CAP_BRAGG = 8.0
-_EDGE_TOL = 1e-9
+_KSECTION_POINTS = 64
 
-#: Safety cap on bisection steps; the bilayer brackets stop shrinking
-#: (adjacent doubles) after about 60.
+#: Safety cap on bisection and k-section steps; the bilayer brackets stop
+#: shrinking (adjacent doubles) after about 60 halvings, a scan edge after
+#: about 8 k-section steps.
 _BISECT_MAX = 200
 
 
@@ -198,26 +200,6 @@ class UnitCell:
     @property
     def n_layers(self) -> int:
         return len(self.layers)
-
-    @classmethod
-    def from_dimensional(
-        cls,
-        heights: Sequence[float],
-        densities: Sequence[float],
-        youngs_moduli: Sequence[float],
-        poisson_ratios: Sequence[float],
-    ) -> "UnitCell":
-        """Nondimensionalize raw per-layer properties by the first layer
-        (density, modulus) and the total height."""
-        total_h = float(sum(heights))
-        rho1 = float(densities[0])
-        e1 = float(youngs_moduli[0])
-        return cls(
-            tuple(
-                Layer(h / total_h, rho / rho1, e / e1, nu)
-                for h, rho, e, nu in zip(heights, densities, youngs_moduli, poisson_ratios)
-            )
-        )
 
     def to_json(self) -> str:
         payload = {
@@ -398,22 +380,32 @@ class BandGap:
         return {"start": self.start, "end": self.end, "width": self.width}
 
 
-@dataclass(frozen=True)
-class DispersionPoint:
-    omega_hat: float
-    half_trace: float
-    k_hat_h: float | None
-    in_gap: bool
+class DispersionCurve(NamedTuple):
+    """Dispersion samples as columns; ``k_hat_h`` is NaN where ``in_gap``."""
+
+    omega_hat: np.ndarray
+    half_trace: np.ndarray
+    k_hat_h: np.ndarray
+    in_gap: np.ndarray
+
+    def csv_lines(self) -> list[str]:
+        """Header ``omega_hat,half_trace,k_hat_h,in_gap`` and one line per
+        sample, gap samples with an empty ``k_hat_h``.  ``%.17g`` formats
+        as ``format(x, ".17g")`` does, so every float round-trips."""
+        lines = ["omega_hat,half_trace,k_hat_h,in_gap\n"]
+        for w, ht, k, gap in zip(*(column.tolist() for column in self)):
+            lines.append("%.17g,%.17g,,1\n" % (w, ht) if gap else "%.17g,%.17g,%.17g,0\n" % (w, ht, k))
+        return lines
 
 
 def dispersion_curve(
     cell: UnitCell, omega_max: float, n_points: int, pol: Polarization
-) -> list[DispersionPoint]:
+) -> DispersionCurve:
     """Dispersion samples on a uniform frequency grid up to ``omega_max``.
 
     Within passbands the wave number is folded into the first Brillouin
     zone, ``k_hat h_hat = arccos(half_trace) in [0, pi]``; in gaps it is
-    absent and the point is flagged.
+    NaN and the sample is flagged.
     """
     if omega_max <= 0:
         raise ValueError("omega_max must be positive")
@@ -421,12 +413,9 @@ def dispersion_curve(
         raise ValueError("n_points must be at least 2")
     omegas = np.linspace(0.0, omega_max, n_points + 1)[1:]
     values = _ht_grid(cell, pol)(omegas)
-    points = []
-    for w, ht in zip(omegas, values):
-        in_gap = abs(ht) > 1.0
-        k = None if in_gap else float(np.arccos(np.clip(ht, -1.0, 1.0)))
-        points.append(DispersionPoint(float(w), float(ht), k, bool(in_gap)))
-    return points
+    in_gap = np.abs(values) > 1.0
+    k_hat_h = np.where(in_gap, np.nan, np.arccos(np.clip(values, -1.0, 1.0)))
+    return DispersionCurve(omegas, values, k_hat_h, in_gap)
 
 
 def _golden_min(
@@ -453,33 +442,27 @@ def _golden_min(
 
 
 def _refine_edge(
-    scalar: Callable[[float], float],
+    grid: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     entering: bool,
 ) -> float:
-    """Bisect |half_trace|-1 between a passband point and a gap point.
+    """Edge of the gap between ``lo`` and ``hi``, to the last bit.
 
-    Runs to the absolute frequency tolerance, then keeps halving until
-    the residual at the returned edge is below 10x the tolerance (steep
-    crossings need the extra iterations; each one is cheap).
+    ``lo`` lies in the passband and ``hi`` in the gap when ``entering``,
+    the other way round when not.  Each k-section step evaluates
+    ``_KSECTION_POINTS`` interior points in one ``grid`` call and keeps the
+    sub-bracket of the first crossing of ``|half_trace| = 1``, until the
+    bracket holds adjacent doubles.
     """
-
-    def g(w: float) -> float:
-        return abs(scalar(w)) - 1.0
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+    for _ in range(_BISECT_MAX):
+        if np.nextafter(lo, hi) == hi:
             break
-        inside = g(mid) > 0.0
-        if inside == entering:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= _EDGE_TOL and abs(g(0.5 * (lo + hi))) < 10.0 * _EDGE_TOL:
-            break
-    return 0.5 * (lo + hi)
+        pts = np.linspace(lo, hi, _KSECTION_POINTS + 2)[1:-1]
+        crossed = (np.abs(grid(pts)) > 1.0) == entering
+        j = int(np.argmax(crossed)) if crossed.any() else len(pts)
+        lo, hi = (pts[j - 1] if j else lo), (pts[j] if j < len(pts) else hi)
+    return float(0.5 * (lo + hi))
 
 
 def bilayer_first_gaps(
@@ -521,10 +504,6 @@ def bilayer_first_gaps(
 def _scan_first_gap(cell: UnitCell, pol: Polarization) -> BandGap | None:
     """Grid scan for stacks without a Bragg bracket; see :func:`first_band_gap`."""
     grid = _ht_grid(cell, pol)
-
-    def scalar(w: float) -> float:
-        return float(grid(np.array([w]))[0])
-
     tau = transit_time(cell, pol)
     step = math.pi / (_SCAN_STEPS_PER_BRANCH * tau)
     cap = _SCAN_CAP_BRAGG * math.pi / tau
@@ -545,14 +524,14 @@ def _scan_first_gap(cell: UnitCell, pol: Polarization) -> BandGap | None:
         return None
 
     lo = step * (start_idx - 1)  # half_trace -> 1 as omega -> 0, so lo=0 is outside
-    start = _refine_edge(scalar, lo, step * start_idx, entering=True)
+    start = _refine_edge(grid, lo, step * start_idx, entering=True)
 
     # The gap must close: passbands recur on every dispersion branch, but
     # strong impedance contrast makes some of them far narrower than the
     # scan step.  Every local minimum of |half_trace| on the grid is
     # therefore refined by golden section before the scan steps over it.
     def g_abs(w: float) -> float:
-        return abs(scalar(w))
+        return abs(float(grid(np.array([w]))[0]))
 
     end = None
     hard_limit = 4 * n_max
@@ -571,11 +550,11 @@ def _scan_first_gap(cell: UnitCell, pol: Polarization) -> BandGap | None:
                 break
             x_min, f_min = _golden_min(g_abs, step * (base + m - 1), step * (base + m + 1))
             if f_min < 1.0:
-                end = _refine_edge(scalar, step * (base + m - 1), x_min, entering=False)
+                end = _refine_edge(grid, step * (base + m - 1), x_min, entering=False)
                 break
         if end is None and first_below < len(seq):
             idx = base + first_below
-            end = _refine_edge(scalar, step * (idx - 1), step * idx, entering=False)
+            end = _refine_edge(grid, step * (idx - 1), step * idx, entering=False)
         tail = seq[-2:]
         tail_start = hi_k - 2
         k = hi_k
@@ -599,8 +578,9 @@ def first_band_gap(cell: UnitCell, pol: Polarization | str) -> BandGap | None:
     ``pi / (200 tau)`` (``tau`` the cell transit time, so every dispersion
     branch gets about 200 samples) up to ``8 pi / tau``.  The first
     excursion of ``|half_trace|`` above one is bracketed and both edges are
-    bisected to ``_EDGE_TOL`` (1e-9); gaps narrower than the scan step are
-    treated as no gap.  Raises :class:`GapNotClosedError` when the gap does not
+    refined by k-section, 64 points per step, until each bracket holds
+    adjacent doubles; gaps narrower than the scan step are treated as no
+    gap.  Raises :class:`GapNotClosedError` when the gap does not
     close within four times that cap.
     """
     pol = Polarization(pol)
@@ -657,18 +637,3 @@ def objective_model(kind: ObjectiveKind | str, space: ParameterSpace | None = No
         return values
 
     return ModelFunction(n_dims=space.n_dims, fn=fn, name=f"bandgap-{kind.value}")
-
-
-def dispersion_csv_rows(points: Sequence[DispersionPoint]) -> list[list[str]]:
-    """CSV payload with header omega_hat,half_trace,k_hat_h,in_gap."""
-    rows = [["omega_hat", "half_trace", "k_hat_h", "in_gap"]]
-    for p in points:
-        rows.append(
-            [
-                format(p.omega_hat, ".17g"),
-                format(p.half_trace, ".17g"),
-                "" if p.k_hat_h is None else format(p.k_hat_h, ".17g"),
-                "1" if p.in_gap else "0",
-            ]
-        )
-    return rows

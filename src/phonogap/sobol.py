@@ -280,15 +280,17 @@ class SobolFunctionEstimate:
         object.__setattr__(self, "values", v)
 
     def to_csv_rows(self) -> list[list[str]]:
+        """Header ``u<axis>[,u<axis>],value`` and one row per grid node;
+        each grid coordinate is formatted once."""
+        coords = [[_fmt(g) for g in grid.tolist()] for grid in self.grids]
+        values = self.values.tolist()
+        rows = [[f"u{a}" for a in self.axes] + ["value"]]
         if len(self.axes) == 1:
-            rows = [[f"u{self.axes[0]}", "value"]]
-            for g, v in zip(self.grids[0], self.values):
-                rows.append([_fmt(g), _fmt(v)])
+            rows += [[g, _fmt(v)] for g, v in zip(coords[0], values)]
         else:
-            rows = [[f"u{self.axes[0]}", f"u{self.axes[1]}", "value"]]
-            for a, ga in enumerate(self.grids[0]):
-                for b, gb in enumerate(self.grids[1]):
-                    rows.append([_fmt(ga), _fmt(gb), _fmt(self.values[a, b])])
+            rows += [
+                [ga, gb, _fmt(v)] for ga, line in zip(coords[0], values) for gb, v in zip(coords[1], line)
+            ]
         return rows
 
 

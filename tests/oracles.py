@@ -108,6 +108,21 @@ def brute_force_first_gap(
         m += 1
 
 
+def dispersion_reference_rows(omegas: np.ndarray, half_traces: np.ndarray) -> list[list[str]]:
+    """Dispersion CSV rows built one sample at a time, with one
+    ``np.arccos`` call and one ``format(x, ".17g")`` per field.
+
+    The half traces come in from the caller, so the rows check how the
+    dispersion output folds, flags and formats them, not the kernel.
+    """
+    rows = [["omega_hat", "half_trace", "k_hat_h", "in_gap"]]
+    for w, ht in zip(omegas, half_traces):
+        in_gap = abs(ht) > 1.0
+        k = "" if in_gap else format(float(np.arccos(np.clip(ht, -1.0, 1.0))), ".17g")
+        rows.append([format(float(w), ".17g"), format(float(ht), ".17g"), k, "1" if in_gap else "0"])
+    return rows
+
+
 def gauss_legendre(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [lo, hi]."""
     x, w = np.polynomial.legendre.leggauss(n)

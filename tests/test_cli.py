@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 import math
 
@@ -7,11 +8,13 @@ import pytest
 
 import phonogap.crystal
 from phonogap.cli import main
-from phonogap.crystal import Layer, UnitCell, two_layer_cell
+from phonogap.crystal import Layer, Polarization, UnitCell, dispersion_curve, transit_time, two_layer_cell
 from phonogap.design import ExtrapolationWarning
 from phonogap.sampling import (
     ParameterDef, ParameterSpace, canonical_space, lhs_sample, map_to_space,
 )
+
+from oracles import dispersion_reference_rows
 
 # every point of this box is a cell with (nearly) equal layers: no first gap
 GAP_FREE_SPACE = ParameterSpace(
@@ -297,8 +300,6 @@ class TestDesignCommand:
 
 class TestOutputContracts:
     def test_csv_floats_round_trip_bit_exactly(self, tmp_path, reference_cell_file):
-        from phonogap.crystal import Polarization, dispersion_curve, transit_time
-
         cell = two_layer_cell(1000.0, 2.0, 2.0, 0.2, 0.2)
         omega_max = 8.0 * math.pi / transit_time(cell, Polarization.S)
         main(
@@ -306,10 +307,42 @@ class TestOutputContracts:
              "--pol", "S", "--n-points", "200"]
         )
         rows = read_csv(tmp_path / "dispersion_S.csv")[1:]
-        points = dispersion_curve(cell, omega_max, 200, Polarization.S)
-        for row, p in zip(rows, points):
-            assert float(row[0]) == p.omega_hat
-            assert float(row[1]) == p.half_trace
+        curve = dispersion_curve(cell, omega_max, 200, Polarization.S)
+        assert len(rows) == 200
+        for row, w, ht in zip(rows, curve.omega_hat, curve.half_trace):
+            assert float(row[0]) == w
+            assert float(row[1]) == ht
+
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            two_layer_cell(1000.0, 2.0, 2.0, 0.2, 0.2),
+            UnitCell(
+                (Layer(0.36, 1.0, 1.0, 0.2), Layer(0.41, 846.0, 1656.0, 0.2),
+                 Layer(0.23, 829.0, 7412.0, 0.2))
+            ),
+        ],
+    )
+    def test_dispersion_matches_per_point_reference_bytes(self, tmp_path, cell):
+        # the columnar writer must give the bytes of a row-by-row writer
+        path = tmp_path / "cell.json"
+        path.write_text(cell.to_json())
+        for fmt in ("csv", "json"):
+            code = main(
+                ["dispersion", "--cell", str(path), "--pol", "S", "--n-points", "777",
+                 "--format", fmt, "--out", str(tmp_path / fmt)]
+            )
+            assert code == 0
+        omega_max = 8.0 * math.pi / transit_time(cell, Polarization.S)
+        curve = dispersion_curve(cell, omega_max, 777, Polarization.S)
+        assert curve.in_gap.any() and not curve.in_gap.all()
+        rows = dispersion_reference_rows(curve.omega_hat, curve.half_trace)
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(rows)
+        assert (tmp_path / "csv" / "dispersion_S.csv").read_bytes() == text.getvalue().encode()
+        header, *data = rows
+        payload = json.dumps([dict(zip(header, r)) for r in data], indent=2) + "\n"
+        assert (tmp_path / "json" / "dispersion_S.json").read_bytes() == payload.encode()
 
     def test_default_output_dir_from_environment(self, tmp_path, monkeypatch, reference_cell_file):
         target = tmp_path / "from_env"
