@@ -32,7 +32,6 @@ from .sobol import (
 )
 from .crystal import (
     GapNotClosedError,
-    NoBandGapError,
     Polarization,
     UnitCell,
     dispersion_curve,
@@ -360,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
-    except (NoBandGapError, GapNotClosedError, ModelEvaluationError) as err:
+    except (GapNotClosedError, ModelEvaluationError) as err:
         # band-gap model failures carry the physical point in their message
         print(f"numerical failure: {err}", file=sys.stderr)
         return 1

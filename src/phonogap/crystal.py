@@ -33,8 +33,14 @@ contrast, and at twice that frequency it is at least 1.  So the first gap
 starts at the only root of ``ht + 1`` in ``(0, pi/tau)`` and ends at the
 only root in ``(pi/tau, 2 pi/tau)``; :func:`bilayer_first_gaps` bisects
 both brackets for many cells at once.  Stacks of three or more layers
-have no such bracket and go through a grid scan; each edge the scan
-brackets is then refined by k-section to adjacent doubles.
+have no such bracket, but the same oscillation theorem holds for any
+stack of layers with piecewise-constant properties: inside a gap the half
+trace keeps one sign, and across each band it runs monotonically from
+one sign to the other.  A grid scan takes the sign at its first gap
+sample and ends the gap at the first later sample that is not beyond one
+with that sign, so a passband narrower than the scan step still closes
+it; each edge the scan brackets is then refined by k-section to adjacent
+doubles.
 """
 from __future__ import annotations
 
@@ -344,18 +350,15 @@ def _ht_grid(cell: UnitCell, pol: Polarization) -> Callable[[np.ndarray], np.nda
         omegas = np.asarray(omegas, dtype=float)
         phi = np.outer(omegas, phases)
         cp, sp = np.cos(phi), np.sin(phi)
-        t = np.empty((len(omegas), 2, 2))
-        t[:, 0, 0] = cp[:, 0]
-        t[:, 1, 1] = cp[:, 0]
-        t[:, 0, 1] = sp[:, 0] / (omegas * imps[0])
-        t[:, 1, 0] = -omegas * imps[0] * sp[:, 0]
+        wz = np.outer(omegas, imps)
+        m = np.empty(phi.shape + (2, 2))  # (samples, layers, 2, 2)
+        m[..., 0, 0] = cp
+        m[..., 1, 1] = cp
+        m[..., 0, 1] = sp / wz
+        m[..., 1, 0] = -wz * sp
+        t = m[:, 0]
         for k in range(1, len(imps)):
-            m = np.empty_like(t)
-            m[:, 0, 0] = cp[:, k]
-            m[:, 1, 1] = cp[:, k]
-            m[:, 0, 1] = sp[:, k] / (omegas * imps[k])
-            m[:, 1, 0] = -omegas * imps[k] * sp[:, k]
-            t = m @ t
+            t = m[:, k] @ t
         return 0.5 * (t[:, 0, 0] + t[:, 1, 1])
 
     return grid
@@ -418,48 +421,26 @@ def dispersion_curve(
     return DispersionCurve(omegas, values, k_hat_h, in_gap)
 
 
-def _golden_min(
-    f: Callable[[float], float], a: float, b: float, max_iter: int = 200
-) -> tuple[float, float]:
-    """Golden-section minimization of a smooth scalar on [a, b]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if b - a <= 1e-12 * max(1.0, abs(a), abs(b)):
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    x = x1 if f1 <= f2 else x2
-    return x, min(f1, f2)
-
-
 def _refine_edge(
     grid: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
+    sign: float,
     entering: bool,
 ) -> float:
     """Edge of the gap between ``lo`` and ``hi``, to the last bit.
 
-    ``lo`` lies in the passband and ``hi`` in the gap when ``entering``,
-    the other way round when not.  Each k-section step evaluates
-    ``_KSECTION_POINTS`` interior points in one ``grid`` call and keeps the
-    sub-bracket of the first crossing of ``|half_trace| = 1``, until the
-    bracket holds adjacent doubles.
+    Inside the gap ``sign * half_trace > 1``.  ``lo`` lies outside the gap
+    and ``hi`` inside when ``entering``, the other way round when not.
+    Each k-section step evaluates ``_KSECTION_POINTS`` interior points in
+    one ``grid`` call and keeps the sub-bracket of the first crossing,
+    until the bracket holds adjacent doubles.
     """
     for _ in range(_BISECT_MAX):
         if np.nextafter(lo, hi) == hi:
             break
         pts = np.linspace(lo, hi, _KSECTION_POINTS + 2)[1:-1]
-        crossed = (np.abs(grid(pts)) > 1.0) == entering
+        crossed = (sign * grid(pts) > 1.0) == entering
         j = int(np.argmax(crossed)) if crossed.any() else len(pts)
         lo, hi = (pts[j - 1] if j else lo), (pts[j] if j < len(pts) else hi)
     return float(0.5 * (lo + hi))
@@ -506,64 +487,42 @@ def _scan_first_gap(cell: UnitCell, pol: Polarization) -> BandGap | None:
     grid = _ht_grid(cell, pol)
     tau = transit_time(cell, pol)
     step = math.pi / (_SCAN_STEPS_PER_BRANCH * tau)
-    cap = _SCAN_CAP_BRAGG * math.pi / tau
-    n_max = int(math.floor(cap / step))
+    n_max = int(math.floor(_SCAN_CAP_BRAGG * math.pi / tau / step))
 
-    block = 256
-    start_idx = None
-    k = 1
-    while k <= n_max:
-        hi_k = min(k + block, n_max + 1)
-        omegas = step * np.arange(k, hi_k)
-        inside = np.abs(grid(omegas)) > 1.0 + _GAP_GUARD
-        if inside.any():
-            start_idx = k + int(np.argmax(inside))
-            break
-        k = hi_k
-    if start_idx is None:
+    def first_hit(
+        k: int, last: int, hit: Callable[[np.ndarray], np.ndarray]
+    ) -> tuple[int | None, float | None]:
+        """First grid index in ``[k, last]`` where ``hit`` holds for the half
+        trace, and the half trace there; ``(None, None)`` if there is none."""
+        while k <= last:
+            stop = min(k + 256, last + 1)
+            values = grid(step * np.arange(k, stop))
+            found = hit(values)
+            if found.any():
+                j = int(np.argmax(found))
+                return k + j, float(values[j])
+            k = stop
+        return None, None
+
+    i, ht = first_hit(1, n_max, lambda v: np.abs(v) > 1.0 + _GAP_GUARD)
+    if i is None:
         return None
+    # half_trace -> 1 as omega -> 0, so the sample before the first gap
+    # sample (0 at worst) is outside the gap
+    sign = math.copysign(1.0, ht)
+    start = _refine_edge(grid, step * (i - 1), step * i, sign, entering=True)
 
-    lo = step * (start_idx - 1)  # half_trace -> 1 as omega -> 0, so lo=0 is outside
-    start = _refine_edge(grid, lo, step * start_idx, entering=True)
-
-    # The gap must close: passbands recur on every dispersion branch, but
-    # strong impedance contrast makes some of them far narrower than the
-    # scan step.  Every local minimum of |half_trace| on the grid is
-    # therefore refined by golden section before the scan steps over it.
-    def g_abs(w: float) -> float:
-        return abs(float(grid(np.array([w]))[0]))
-
-    end = None
-    hard_limit = 4 * n_max
-    tail = np.abs(grid(step * np.array([start_idx])))
-    tail_start = start_idx
-    k = start_idx + 1
-    while k <= hard_limit and end is None:
-        hi_k = min(k + block, hard_limit + 1)
-        seq = np.concatenate([tail, np.abs(grid(step * np.arange(k, hi_k)))])
-        base = tail_start  # grid index of seq[0]
-        below = seq[len(tail):] <= 1.0 + _GAP_GUARD
-        first_below = (len(tail) + int(np.argmax(below))) if below.any() else len(seq)
-        is_min = (seq[1:-1] < seq[:-2]) & (seq[1:-1] <= seq[2:]) & (seq[1:-1] > 1.0 + _GAP_GUARD)
-        for m in (np.nonzero(is_min)[0] + 1):
-            if m >= first_below:
-                break
-            x_min, f_min = _golden_min(g_abs, step * (base + m - 1), step * (base + m + 1))
-            if f_min < 1.0:
-                end = _refine_edge(grid, step * (base + m - 1), x_min, entering=False)
-                break
-        if end is None and first_below < len(seq):
-            idx = base + first_below
-            end = _refine_edge(grid, step * (idx - 1), step * idx, entering=False)
-        tail = seq[-2:]
-        tail_start = hi_k - 2
-        k = hi_k
-    if end is None:
+    # A gap keeps its sign and each band is monotone (module docstring), so
+    # the first sample not beyond one with that sign lies past the gap end,
+    # even where the passband in between is narrower than the scan step.
+    j, _ = first_hit(i + 1, 4 * n_max, lambda v: sign * v <= 1.0 + _GAP_GUARD)
+    if j is None:
         layers = [(l.h_hat, l.rho_hat, l.e_hat, l.nu) for l in cell.layers]
         raise GapNotClosedError(
             f"{pol.value}-wave band gap starting at omega_hat={start:.17g} did not close "
             f"below four search caps (layers h, rho, E, nu: {layers})"
         )
+    end = _refine_edge(grid, step * (j - 1), step * j, sign, entering=False)
     return BandGap(start=start, end=end)
 
 
@@ -576,12 +535,16 @@ def first_band_gap(cell: UnitCell, pol: Polarization | str) -> BandGap | None:
 
     Other stacks are scanned upward from zero in steps of
     ``pi / (200 tau)`` (``tau`` the cell transit time, so every dispersion
-    branch gets about 200 samples) up to ``8 pi / tau``.  The first
-    excursion of ``|half_trace|`` above one is bracketed and both edges are
-    refined by k-section, 64 points per step, until each bracket holds
-    adjacent doubles; gaps narrower than the scan step are treated as no
-    gap.  Raises :class:`GapNotClosedError` when the gap does not
-    close within four times that cap.
+    branch gets about 200 samples) up to ``8 pi / tau``.  The first sample
+    with ``|half_trace|`` above one starts the gap and fixes its sign.  The
+    gap ends at the first later sample whose ``sign * half_trace`` is not
+    above one: the half trace keeps its sign inside a gap and is monotone
+    across each band (module docstring), so this also holds where the
+    passband lies between two samples.  Both edges are refined by
+    k-section, 64 points per step, until each bracket holds adjacent
+    doubles; gaps narrower than the scan step are treated as no gap.
+    Raises :class:`GapNotClosedError` when the gap does not close within
+    four times that cap.
     """
     pol = Polarization(pol)
     if cell.n_layers == 2:

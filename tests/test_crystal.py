@@ -300,6 +300,13 @@ def random_stack(rng: np.random.Generator) -> UnitCell:
     return UnitCell(tuple(layers))
 
 
+def assert_gap_keeps_one_sign(grid, gap: BandGap) -> None:
+    """200 interior samples of the gap share one sign of the half trace,
+    beyond one in magnitude."""
+    values = grid(np.linspace(gap.start, gap.end, 202)[1:-1])
+    assert np.all(np.sign(values[0]) * values > 1.0)
+
+
 class TestGeneralScan:
     @pytest.mark.parametrize("pol", [Polarization.S, Polarization.P])
     def test_random_stacks_match_oracle_to_the_last_bit(self, pol):
@@ -321,6 +328,29 @@ class TestGeneralScan:
                 around = np.array([np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)])
                 inside = (np.abs(grid(around)) > 1.0) == entering
                 assert (not inside[0] and inside[1]) or (not inside[1] and inside[2])
+            assert_gap_keeps_one_sign(grid, gap)
+
+    @pytest.mark.parametrize("pol", [Polarization.S, Polarization.P])
+    def test_narrow_passband_after_the_gap(self, pol):
+        cell = UnitCell(
+            (
+                Layer(1.0, 1.0, 1.0, 0.043),
+                Layer(0.43, 19.652, 2606.55, 0.161),
+                Layer(1.6797, 907.985, 6899.58, 0.221),
+            )
+        )
+        gap = first_band_gap(cell, pol)
+        start, end = brute_force_first_gap(cell, pol)
+        assert gap.start == pytest.approx(start, abs=1e-6)
+        assert gap.end == pytest.approx(end, abs=1e-6)
+        # the passband that ends the gap lies between two scan samples on
+        # opposite sides of one, so no scan sample falls inside it
+        grid = _ht_grid(cell, pol)
+        step = math.pi / (200 * transit_time(cell, pol))
+        j = math.ceil(gap.end / step)
+        below, above = grid(step * np.array([j - 1, j]))
+        assert min(abs(below), abs(above)) > 1.0 and below * above < 0.0
+        assert_gap_keeps_one_sign(grid, gap)
 
     def test_homogeneous_stack_has_no_gap(self):
         cell = UnitCell(tuple(Layer(h, 1.0, 1.0, 0.3) for h in (0.2, 0.5, 0.3)))
