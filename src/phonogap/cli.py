@@ -70,15 +70,29 @@ def _write_csv(path: Path, rows: list[list[str]]) -> None:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
+def _json_field(text: str) -> float | str | None:
+    """A table field as a JSON value: the number it spells when that is a
+    finite float (JSON has no NaN or infinity), null when empty (a gap's
+    ``k_hat_h``), else the string itself."""
+    if not text:
+        return None
+    try:
+        value = float(text)
+    except ValueError:
+        return text
+    return value if math.isfinite(value) else text
+
+
 def _write_table(out: Path, name: str, rows: list[list[str]], fmt: str) -> Path:
-    """Tabular artifact in the requested format; rows carry full precision."""
+    """Tabular artifact in the requested format; rows carry full precision,
+    and a JSON number has the value of its CSV field."""
     if fmt == "csv":
         path = out / f"{name}.csv"
         _write_csv(path, rows)
     else:
         path = out / f"{name}.json"
         header, *data = rows
-        payload = [dict(zip(header, r)) for r in data]
+        payload = [{h: _json_field(v) for h, v in zip(header, r)} for r in data]
         path.write_text(json.dumps(payload, indent=2) + "\n")
     return path
 

@@ -14,9 +14,13 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from phonogap.crystal import (
+    _BISECT_MAX,
+    _GAP_GUARD,
     Layer,
     Polarization,
     UnitCell,
+    _bilayer_coefficients,
+    _bilayer_ht,
     cell_transfer_matrix,
     transit_time,
     wave_speed,
@@ -106,6 +110,33 @@ def brute_force_first_gap(
                 end = brentq(g, positions[-3], res.x, xtol=1e-12)
                 return start, end
         m += 1
+
+
+def bisect_bilayer_gaps(points: np.ndarray, pol: Polarization | str) -> tuple[np.ndarray, np.ndarray]:
+    """First-gap ``(start, end)`` arrays of two-layer rows by bisection.
+
+    Halves both Bragg brackets of every row together until no bracket
+    shrinks any more (adjacent doubles, about 58 halvings), and returns
+    each bracket's midpoint; NaN where ``ht(pi/tau) + 1`` is not below
+    ``-_GAP_GUARD``.  Same gap decision and kernel as
+    :func:`phonogap.crystal.bilayer_first_gaps`, slow but simple.
+    """
+    coeffs = _bilayer_coefficients(points, Polarization(pol))
+    bragg = np.pi / coeffs[3]
+    has_gap = _bilayer_ht(coeffs, bragg) + 1.0 < -_GAP_GUARD
+    # row 0 brackets the start, row 1 the end; ht + 1 > 0 at `outer` and
+    # < 0 at `inner` (the Bragg frequency)
+    outer = np.stack([np.zeros_like(bragg), 2.0 * bragg])
+    inner = np.stack([bragg, bragg])
+    for _ in range(_BISECT_MAX):
+        mid = 0.5 * (outer + inner)
+        if not ((mid != outer) & (mid != inner)).any():
+            break
+        positive = _bilayer_ht(coeffs, mid) + 1.0 > 0.0
+        outer = np.where(positive, mid, outer)
+        inner = np.where(positive, inner, mid)
+    edges = np.where(has_gap, 0.5 * (outer + inner), np.nan)
+    return edges[0], edges[1]
 
 
 def dispersion_reference_rows(omegas: np.ndarray, half_traces: np.ndarray) -> list[list[str]]:

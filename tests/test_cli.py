@@ -341,8 +341,34 @@ class TestOutputContracts:
         csv.writer(text, lineterminator="\n").writerows(rows)
         assert (tmp_path / "csv" / "dispersion_S.csv").read_bytes() == text.getvalue().encode()
         header, *data = rows
-        payload = json.dumps([dict(zip(header, r)) for r in data], indent=2) + "\n"
+        typed = [{h: float(v) if v else None for h, v in zip(header, r)} for r in data]
+        payload = json.dumps(typed, indent=2) + "\n"
         assert (tmp_path / "json" / "dispersion_S.json").read_bytes() == payload.encode()
+
+    def test_json_tables_hold_the_csv_numbers(self, tmp_path, reference_cell_file):
+        def typed(field):
+            if not field:
+                return None
+            try:
+                return float(field)
+            except ValueError:
+                return field
+
+        commands = {
+            "dispersion_S": ["dispersion", "--cell", str(reference_cell_file), "--pol", "S",
+                             "--n-points", "300"],
+            "sobol_indices": ["sobol", "--target", "poly", "--n", "200", "--seed", "3"],
+        }
+        for name, argv in commands.items():
+            for fmt in ("csv", "json"):
+                assert main([*argv, "--format", fmt, "--out", str(tmp_path / fmt)]) == 0
+            header, *rows = read_csv(tmp_path / "csv" / f"{name}.csv")
+            expected = [dict(zip(header, map(typed, r))) for r in rows]
+            payload = json.loads((tmp_path / "json" / f"{name}.json").read_text())
+            # repr tells 1.0 from 1 and "1.0" and shows every bit of a float
+            assert list(map(repr, payload)) == list(map(repr, expected))
+            kinds = {type(v) for record in expected for v in record.values()}
+            assert kinds == ({float, type(None)} if name == "dispersion_S" else {float, str})
 
     def test_default_output_dir_from_environment(self, tmp_path, monkeypatch, reference_cell_file):
         target = tmp_path / "from_env"

@@ -30,7 +30,7 @@ from phonogap.crystal import (
 from phonogap.sampling import ParameterDef, ParameterSpace, canonical_space, lhs_sample, map_to_space
 from phonogap.sobol import ModelEvaluationError
 
-from oracles import brute_force_first_gap, layer_matrix_oracle
+from oracles import bisect_bilayer_gaps, brute_force_first_gap, layer_matrix_oracle
 
 REFERENCE_CELL = two_layer_cell(1000.0, 2.0, 2.0, 0.2, 0.2)
 
@@ -456,6 +456,32 @@ class TestBilayerFirstGaps:
                     assert gap is None
                     with pytest.raises(NoBandGapError):
                         objective(params, f"S{pol.value}")
+
+    @pytest.mark.parametrize("pol", ["S", "P"])
+    def test_matches_reference_bisection(self, pol):
+        def check(points, rtol, atol):
+            start, end = bilayer_first_gaps(points, pol)
+            ref_start, ref_end = bisect_bilayer_gaps(points, pol)
+            for edge, ref in ((start, ref_start), (end, ref_end)):
+                np.testing.assert_array_equal(np.isnan(edge), np.isnan(ref))
+                np.testing.assert_allclose(edge, ref, rtol=rtol, atol=atol)
+            return np.isnan(ref_start)
+
+        # canonical box: edges to within 1e-12 relative (3.6e-13 measured)
+        for seed in range(3):
+            samples = lhs_sample(5, 20000, seed)
+            points = map_to_space(
+                np.vstack([samples.original, samples.complementary]), canonical_space()
+            )
+            check(points, rtol=1e-12, atol=0.0)
+        # E2/E1 = 1 + 10^-k: the Bragg dip shrinks to the rounding guard and
+        # the edges close in on a double root of ht + 1 (1.1e-9 measured)
+        rng = np.random.default_rng(11)
+        k = rng.uniform(1.0, 6.0, 2000)
+        nu = rng.uniform(0.0, NU_CAP, 2000)
+        points = np.column_stack([1.0 + 10.0**-k, np.ones(2000), rng.uniform(0.1, 10.0, 2000), nu, nu])
+        no_gap = check(points, rtol=0.0, atol=1e-8)
+        assert no_gap.any() and not no_gap.all()
 
     def test_validation(self):
         with pytest.raises(ValueError, match=r"\(m, 5\)"):
