@@ -98,10 +98,9 @@ _SCAN_STEPS_PER_BRANCH = 200
 _SCAN_CAP_BRAGG = 8.0
 _KSECTION_POINTS = 64
 
-#: Safety cap on solver steps; a bilayer edge reaches its rounding-level
-#: residual within about 25 safeguarded Newton steps, a scan edge its
-#: adjacent doubles after about 8 k-section steps.
-_BISECT_MAX = 200
+#: Safety cap on the steps of the bilayer Newton solve and of the scan's
+#: k-section edge refinement; both stop well before it.
+_SOLVER_STEPS_MAX = 200
 
 
 class Polarization(str, Enum):
@@ -446,7 +445,7 @@ def _refine_edge(
     one ``grid`` call and keeps the sub-bracket of the first crossing,
     until the bracket holds adjacent doubles.
     """
-    for _ in range(_BISECT_MAX):
+    for _ in range(_SOLVER_STEPS_MAX):
         if np.nextafter(lo, hi) == hi:
             break
         pts = np.linspace(lo, hi, _KSECTION_POINTS + 2)[1:-1]
@@ -475,11 +474,9 @@ def bilayer_first_gaps(
     moves one end of its bracket by the sign of ``f``; the next point is the
     Newton point where that lies strictly inside the bracket, else the
     bracket midpoint.  An edge is final once ``|f| <= 4 eps (|p| + q + 1)``,
-    the rounding level of ``f``, or once its step no longer moves it; that
-    takes about 6 steps on average and 10 at most on the canonical box, and
-    up to 23 on near-homogeneous cells.  A final edge is set aside, so a
-    row's edges depend on that row alone and any split of the rows into
-    batches gives bit-identical results.
+    the rounding level of ``f``, or once its step no longer moves it.  A
+    final edge is set aside, so a row's edges depend on that row alone and
+    any split of the rows into batches gives bit-identical results.
     """
     coeffs = _bilayer_coefficients(points, Polarization(pol))
     bragg = np.pi / coeffs[3]
@@ -495,7 +492,7 @@ def bilayer_first_gaps(
     tol = 4.0 * np.finfo(float).eps * (np.abs(coeffs[0]) + coeffs[1] + 1.0)
     todo = np.arange(rows.size)
     found = np.empty(rows.size)
-    for _ in range(_BISECT_MAX):
+    for _ in range(_SOLVER_STEPS_MAX):
         ht, slope = _bilayer_ht_slope(coeffs, w)
         f = ht + 1.0
         positive = f > 0.0

@@ -14,7 +14,6 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from phonogap.crystal import (
-    _BISECT_MAX,
     _GAP_GUARD,
     Layer,
     Polarization,
@@ -128,7 +127,7 @@ def bisect_bilayer_gaps(points: np.ndarray, pol: Polarization | str) -> tuple[np
     # < 0 at `inner` (the Bragg frequency)
     outer = np.stack([np.zeros_like(bragg), 2.0 * bragg])
     inner = np.stack([bragg, bragg])
-    for _ in range(_BISECT_MAX):
+    for _ in range(200):
         mid = 0.5 * (outer + inner)
         if not ((mid != outer) & (mid != inner)).any():
             break
