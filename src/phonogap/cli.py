@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -97,6 +98,16 @@ def _write_table(out: Path, name: str, rows: list[list[str]], fmt: str) -> Path:
     return path
 
 
+def _write_lines(out: Path, name: str, lines: list[str], fmt: str) -> Path:
+    """A table given as preformatted CSV lines whose fields need no
+    quoting: written as they are, or split into fields for JSON."""
+    if fmt == "json":
+        return _write_table(out, name, [line[:-1].split(",") for line in lines], fmt)
+    path = out / f"{name}.csv"
+    path.write_text("".join(lines))
+    return path
+
+
 def _load_cell(path: str) -> UnitCell:
     try:
         text = Path(path).read_text()
@@ -139,12 +150,8 @@ def cmd_dispersion(args: argparse.Namespace) -> int:
     pols = _polarizations(args.pol)
     for pol in pols:
         omega_max = args.omega_max or 8.0 * math.pi / transit_time(cell, pol)
-        lines = dispersion_curve(cell, omega_max, args.n_points, pol).csv_lines()
-        name = f"dispersion_{pol.value}"
-        if args.format == "csv":
-            (out / f"{name}.csv").write_text("".join(lines))
-        else:
-            _write_table(out, name, [line[:-1].split(",") for line in lines], "json")
+        curve = dispersion_curve(cell, omega_max, args.n_points, pol)
+        _write_lines(out, f"dispersion_{pol.value}", curve.csv_lines(), args.format)
     _write_json(out / "bandgap_summary.json", _gap_summary(cell, pols, args.seed))
     print(f"wrote dispersion data for {', '.join(p.value for p in pols)} to {out}")
     return 0
@@ -209,7 +216,7 @@ def cmd_sobol(args: argparse.Namespace) -> int:
             est = estimate_sobol_function_2d(
                 model, axes[0], axes[1], args.grid, args.inner, seed=args.seed
             )
-        _write_table(out, f"sobol_function_{tag}", est.to_csv_rows(), args.format)
+        _write_lines(out, f"sobol_function_{tag}", est.csv_lines(), args.format)
 
     if args.target == "poly":
         ref = analytic_poly_reference()
@@ -319,7 +326,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=["csv", "json"], default="csv", help="tabular output format")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and then shared by every
+    ``main`` call of the process; parsing leaves no state in it."""
     p = argparse.ArgumentParser(
         prog="phonogap",
         description="1D phononic band gaps: dispersion, sensitivity analysis, design equations",

@@ -24,7 +24,7 @@ from phonogap.crystal import (
     transit_time,
     wave_speed,
 )
-from phonogap.sobol import SobolResult
+from phonogap.sobol import SobolFunctionEstimate, SobolResult
 
 
 def state_matrix(layer: Layer, z_hat: float, omega_hat: float, pol: Polarization) -> np.ndarray:
@@ -150,6 +150,16 @@ def dispersion_reference_rows(omegas: np.ndarray, half_traces: np.ndarray) -> li
         in_gap = abs(ht) > 1.0
         k = "" if in_gap else format(float(np.arccos(np.clip(ht, -1.0, 1.0))), ".17g")
         rows.append([format(float(w), ".17g"), format(float(ht), ".17g"), k, "1" if in_gap else "0"])
+    return rows
+
+
+def surface_reference_rows(est: SobolFunctionEstimate) -> list[list[str]]:
+    """Sobol'-function CSV rows built one node at a time, with one
+    ``format(x, ".17g")`` per field, for ``csv.writer`` to write."""
+    rows = [[f"u{a}" for a in est.axes] + ["value"]]
+    for index in np.ndindex(est.values.shape):
+        coords = [format(float(est.grids[k][i]), ".17g") for k, i in enumerate(index)]
+        rows.append(coords + [format(float(est.values[index]), ".17g")])
     return rows
 
 

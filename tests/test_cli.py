@@ -3,11 +3,15 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import phonogap.crystal
-from phonogap.cli import main
+from phonogap.cli import build_parser, main
 from phonogap.crystal import Layer, Polarization, UnitCell, dispersion_curve, transit_time, two_layer_cell
 from phonogap.design import ExtrapolationWarning
 from phonogap.sampling import (
@@ -354,21 +358,28 @@ class TestOutputContracts:
             except ValueError:
                 return field
 
-        commands = {
-            "dispersion_S": ["dispersion", "--cell", str(reference_cell_file), "--pol", "S",
-                             "--n-points", "300"],
-            "sobol_indices": ["sobol", "--target", "poly", "--n", "200", "--seed", "3"],
-        }
-        for name, argv in commands.items():
+        commands = [
+            ["dispersion", "--cell", str(reference_cell_file), "--pol", "S", "--n-points", "300"],
+            ["sobol", "--target", "poly", "--n", "200", "--seed", "3", "--functions", "x2;x2,x3",
+             "--grid", "5", "--inner", "4"],
+        ]
+        for argv in commands:
             for fmt in ("csv", "json"):
                 assert main([*argv, "--format", fmt, "--out", str(tmp_path / fmt)]) == 0
+        tables = {
+            "dispersion_S": {float, type(None)},
+            "sobol_indices": {float, str},
+            "sobol_function_x2": {float},
+            "sobol_function_x2-x3": {float},
+        }
+        for name, expected_kinds in tables.items():
             header, *rows = read_csv(tmp_path / "csv" / f"{name}.csv")
             expected = [dict(zip(header, map(typed, r))) for r in rows]
             payload = json.loads((tmp_path / "json" / f"{name}.json").read_text())
             # repr tells 1.0 from 1 and "1.0" and shows every bit of a float
             assert list(map(repr, payload)) == list(map(repr, expected))
             kinds = {type(v) for record in expected for v in record.values()}
-            assert kinds == ({float, type(None)} if name == "dispersion_S" else {float, str})
+            assert kinds == expected_kinds
 
     def test_default_output_dir_from_environment(self, tmp_path, monkeypatch, reference_cell_file):
         target = tmp_path / "from_env"
@@ -457,3 +468,45 @@ class TestExitCodes:
             main(["sobol", "--target", "poly", "--n", "500", "--seed", "11", "--out", str(out)])
         for name in ("sobol_result.json", "sobol_indices.csv", "analytic_comparison.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def artifacts(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call of a process."""
+
+    def test_rejected_command_then_valid_command(self, tmp_path, reference_cell_file):
+        with pytest.raises(SystemExit) as err:
+            main(["bandgap", "--cell", str(reference_cell_file), "--pol", "X", "--out", str(tmp_path)])
+        assert err.value.code == 2
+        assert main(["bandgap", "--cell", str(reference_cell_file), "--out", str(tmp_path)]) == 0
+        assert build_parser() is build_parser()
+
+    def test_no_option_carries_over_to_the_next_call(self, tmp_path):
+        argv = ["sobol", "--target", "poly", "--n", "100", "--functions", "x1", "--grid", "4",
+                "--inner", "4"]
+        assert main([*argv, "--seed", "5", "--format", "json", "--out", str(tmp_path / "a")]) == 0
+        assert main([*argv, "--out", str(tmp_path / "b")]) == 0
+        assert sorted(artifacts(tmp_path / "b")) == [
+            "analytic_comparison.json", "sobol_function_x1.csv", "sobol_indices.csv", "sobol_result.json",
+        ]
+        assert json.loads((tmp_path / "b" / "sobol_result.json").read_text())["seed"] == 0
+
+    def test_back_to_back_commands_match_fresh_interpreters(self, tmp_path, reference_cell_file):
+        commands = [
+            ["sobol", "--target", "poly", "--n", "200", "--seed", "3", "--functions", "x2;x2,x3",
+             "--grid", "5", "--inner", "4"],
+            ["bandgap", "--cell", str(reference_cell_file), "--seed", "3"],
+            ["design", "--mode", "error", "--kind", "WS", "--n", "50", "--seed", "3"],
+        ]
+        for i, argv in enumerate(commands):
+            assert main([*argv, "--out", str(tmp_path / "same" / str(i))]) == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(phonogap.crystal.__file__).parent.parent)}
+        for i, argv in enumerate(commands):
+            subprocess.run(
+                [sys.executable, "-m", "phonogap.cli", *argv, "--out", str(tmp_path / "fresh" / str(i))],
+                check=True, capture_output=True, env=env,
+            )
+            assert artifacts(tmp_path / "same" / str(i)) == artifacts(tmp_path / "fresh" / str(i))

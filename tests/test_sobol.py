@@ -1,4 +1,12 @@
+import csv
+import io
+import json
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +23,9 @@ from phonogap.sobol import (
     sobol_indices,
 )
 
-from oracles import gauss_legendre, index_table
+from oracles import gauss_legendre, index_table, surface_reference_rows
+
+ROOT = Path(__file__).resolve().parent.parent
 
 POLY = analytic_poly_model()
 REF = analytic_poly_reference()
@@ -318,20 +328,52 @@ class TestSobolFunctions:
     def test_estimate_invariants_and_csv(self):
         est = estimate_sobol_function_1d(POLY, 0, 16, 8, seed=3)
         assert (np.diff(est.grids[0]) > 0).all()
-        rows = est.to_csv_rows()
-        assert rows[0] == ["u0", "value"]
-        assert len(rows) == 17
+        lines = est.csv_lines()
+        assert lines[0] == "u0,value\n"
+        assert len(lines) == 17
         with pytest.raises(ValueError):
             SobolFunctionEstimate(
                 axes=(0,), grids=(np.array([0.1, 0.2]),), values=np.zeros(3),
                 inner_samples=8, seed=0, f0=0.0,
             )
 
+    @pytest.mark.parametrize("axes", [(1,), (1, 2)], ids=["1d", "2d"])
+    def test_csv_lines_are_the_csv_writer_bytes(self, axes):
+        # a 64-node grid, and values that span signs and magnitudes
+        if len(axes) == 1:
+            est = estimate_sobol_function_1d(POLY, *axes, 64, 8, seed=9)
+        else:
+            est = estimate_sobol_function_2d(POLY, *axes, 64, 8, seed=9)
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(surface_reference_rows(est))
+        assert "".join(est.csv_lines()) == text.getvalue()
+
 
 class TestAnalyticPolyModel:
     def test_point_values(self):
         values = POLY.fn(np.array([[0.5, 0.5, 0.5], [1.0, 1.0, 1.0], [0.5, 1.0, 0.5]]))
         np.testing.assert_allclose(values, [0.0, 1312.0, 256.0], rtol=1e-12, atol=1e-12)
+
+    def test_exact_on_dyadic_points(self):
+        # on u = k/16 every x is a multiple of 1/2 in [-4, 4]: every term
+        # and partial sum is exact in binary64, whatever the evaluation
+        k = np.arange(17)
+        u = np.stack(np.meshgrid(k, k, k, indexing="ij"), axis=-1).reshape(-1, 3) / 16.0
+        exact = []
+        for row in u.tolist():
+            x1, x2, x3 = (8 * Fraction(c) - 4 for c in row)
+            exact.append(float(x1**2 + x2**4 + x1 * x2 + x2 * x3**4))
+        assert POLY.fn(u).tolist() == exact
+
+    def test_agrees_with_the_pow_form(self):
+        # fourth powers through ``**``, that is through ``pow``
+        u = np.random.default_rng(17).random((100_000, 3))
+        x = 8.0 * u - 4.0
+        x1, x2, x3 = x[:, 0], x[:, 1], x[:, 2]
+        terms = (x1**2, x2**4, x1 * x2, x2 * x3**4)
+        error = np.abs(POLY.fn(u) - (terms[0] + terms[1] + terms[2] + terms[3]))
+        bound = 8.0 * np.finfo(float).eps * sum(np.abs(t) for t in terms)
+        assert (error <= bound).all()
 
     def test_reference_indices(self):
         assert REF.f0 == pytest.approx(56.533, abs=5e-4)
@@ -401,3 +443,25 @@ class TestOrthogonality:
         assert d2 == pytest.approx(REF.partial_variances["2"], rel=1e-12)
         assert d12 == pytest.approx(REF.partial_variances["12"], rel=1e-12)
         assert d23 == pytest.approx(REF.partial_variances["23"], rel=1e-12)
+
+
+class TestPolyBenchmarkScript:
+    def test_writes_the_convergence_table_and_surfaces(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "poly_benchmark.py"), "--out", str(tmp_path)],
+            check=True, capture_output=True, env=env,
+        )
+        names = {p.name for p in tmp_path.iterdir()}
+        assert names == {
+            "index_convergence.csv", "function_x2_N100.csv", "function_x2_N500.csv",
+            "function_x2_N2000.csv", "function_x2_N4000.csv", "function_x2x3.csv", "summary.json",
+        }
+        with open(tmp_path / "index_convergence.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header[:2] == ["index", "exact"]
+        exact = {row[0]: row[1] for row in rows}
+        assert exact.pop("residual") == "0.0000"
+        assert exact == {f"S{k}": f"{REF.indices[k]:.4f}" for k in ("1", "2", "3", "12", "13", "23")}
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["exact_indices"] == {k: REF.indices[k] for k in ("1", "2", "3", "12", "13", "23")}
