@@ -28,7 +28,6 @@ from .sobol import (
     analytic_poly_reference,
     estimate_sobol_function_1d,
     estimate_sobol_function_2d,
-    result_to_json,
     sobol_indices,
 )
 from .crystal import (
@@ -205,7 +204,7 @@ def cmd_sobol(args: argparse.Namespace) -> int:
     requests = _parse_function_requests(args.functions, names)
     samples = lhs_sample(model.n_dims, args.n, args.seed)
     result = sobol_indices(model, samples, dim_names=names)
-    (out / "sobol_result.json").write_text(result_to_json(result))
+    _write_json(out / "sobol_result.json", result.to_json_dict())
     _write_table(out, "sobol_indices", result.to_csv_rows(), args.format)
 
     for axes in requests:

@@ -611,7 +611,9 @@ def objective_model(kind: ObjectiveKind | str, space: ParameterSpace | None = No
     One call solves all rows at once; the first gap-free row raises
     :class:`ModelEvaluationError` with its index and physical point.
     The solver reads the columns by position, so ``space`` must name the
-    five canonical dimensions in canonical order (``ValueError`` if not).
+    five canonical dimensions in canonical order, with positive ratio
+    bounds and Poisson's-ratio bounds in ``[0, NU_CAP]`` (``ValueError``
+    naming the dimension if not).
     """
     kind = ObjectiveKind(kind)
     canonical = canonical_space()
@@ -621,6 +623,14 @@ def objective_model(kind: ObjectiveKind | str, space: ParameterSpace | None = No
             f"the objective needs the dimensions {list(canonical.names)} in this order, "
             f"got {list(space.names)}"
         )
+    for dim in space.dims[:3]:
+        if dim.lower <= 0.0:
+            raise ValueError(f"{dim.name} bounds [{dim.lower}, {dim.upper}] must be positive")
+    for dim in space.dims[3:]:
+        if dim.lower < 0.0 or dim.upper > NU_CAP:
+            raise ValueError(
+                f"{dim.name} bounds [{dim.lower}, {dim.upper}] leave the supported [0, {NU_CAP}]"
+            )
 
     def fn(u: np.ndarray) -> np.ndarray:
         pts = map_to_space(u, space)

@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .crystal import ObjectiveKind
 from .sampling import SampleSet, canonical_space, map_to_space
 from .sobol import ModelFunction, _evaluate
 
@@ -42,7 +43,7 @@ __all__ = [
     "to_hertz",
 ]
 
-KINDS = ("SS", "WS", "SP", "WP")
+KINDS = tuple(kind.value for kind in ObjectiveKind)
 
 _COEFF_FILE = "design_coefficients.json"
 
@@ -86,12 +87,7 @@ class FittedTerm:
                 self.payload["numerator"]["coefficients"],
                 cols,
             )
-            den = _poly(
-                self.payload["denominator"]["exponents"],
-                self.payload["denominator"]["coefficients"],
-                cols,
-            )
-            return num / den
+            return num / self.denominator_on(coords)
         if self.form == "exp_sum":
             (x,) = cols
             acc = np.zeros_like(x)
@@ -101,7 +97,8 @@ class FittedTerm:
         raise ValueError(f"unknown term form {self.form!r}")
 
     def denominator_on(self, coords: dict[str, np.ndarray]) -> np.ndarray | None:
-        """Denominator values for pole scanning; None for non-rational forms."""
+        """Denominator values of a rational term, which :meth:`evaluate`
+        divides by and a pole scan can check; None for other forms."""
         if self.form != "rational":
             return None
         cols = [np.asarray(coords[k], dtype=float) for k in self.inputs]

@@ -18,10 +18,10 @@ All ``1 + d + d(d-1)/2`` matrices of a study are stacked and evaluated
 in one model call.
 
 Pointwise Sobol' functions (the conditional-mean components of the
-ANOVA decomposition) are estimated on a regular grid over the frozen
-axis (or axes).  Every node averages the model over the same inner
+ANOVA decomposition) of one or two frozen axes come from one estimator
+on a regular grid.  Every node averages the model over the same inner
 Latin Hypercube sample of the remaining dimensions, drawn once per
-surface: with these common random numbers the inner-sample error is
+function: with these common random numbers the inner-sample error is
 mostly a shift shared by all nodes, which centering removes.
 
 Everything here is deterministic given (model, seed, N).
@@ -29,7 +29,6 @@ Everything here is deterministic given (model, seed, N).
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -280,22 +279,16 @@ class SobolFunctionEstimate:
         object.__setattr__(self, "values", v)
 
     def csv_lines(self) -> list[str]:
-        """Header ``u<axis>[,u<axis>],value`` and one line per grid node.
-        Each grid coordinate is formatted once; ``%.17g`` formats as
-        ``format(x, ".17g")`` does, so every float round-trips.  No field
-        needs quoting, so the lines are what ``csv.writer`` would write."""
+        """Header ``u<axis>[,u<axis>],value`` and one line per grid node,
+        in row-major order of ``values``.  Each grid coordinate is
+        formatted once; ``%.17g`` formats as ``format(x, ".17g")`` does,
+        so every float round-trips.  No field needs quoting, so the lines
+        are what ``csv.writer`` would write."""
         coords = [["%.17g" % g for g in grid.tolist()] for grid in self.grids]
-        values = self.values.tolist()
-        lines = [",".join(f"u{a}" for a in self.axes) + ",value\n"]
-        if len(self.axes) == 1:
-            lines += ["%s,%.17g\n" % node for node in zip(coords[0], values)]
-        else:
-            lines += [
-                "%s,%s,%.17g\n" % (ga, gb, v)
-                for ga, line in zip(coords[0], values)
-                for gb, v in zip(coords[1], line)
-            ]
-        return lines
+        return [",".join(f"u{a}" for a in self.axes) + ",value\n"] + [
+            "%s,%.17g\n" % (",".join(node), v)
+            for node, v in zip(itertools.product(*coords), self.values.ravel().tolist())
+        ]
 
 
 def _midpoint_grid(n: int) -> np.ndarray:
@@ -324,6 +317,54 @@ def _conditional_means(
     return values.mean(axis=1)
 
 
+def _estimate_sobol_function(
+    model: ModelFunction,
+    axes: tuple[int, ...],
+    grid_points: int,
+    inner_samples: int,
+    seed: int,
+) -> SobolFunctionEstimate:
+    """Sobol' function of one or two ``axes`` on a midpoint grid.
+
+    Every node averages the model over one shared sample of
+    ``inner_samples`` Latin Hypercube draws of the remaining dimensions.
+    It is drawn from ``default_rng(seed)``, i.e. the root
+    ``SeedSequence(seed)`` itself, a stream distinct from the two children
+    behind ``lhs_sample``.  Each model call fills one grid line (the last
+    axis) of the table of conditional means, which bounds the memory of a
+    surface.
+    """
+    if len(set(axes)) != len(axes):
+        raise ValueError("second-order function needs two distinct dimensions")
+    if grid_points < 2 or inner_samples < 2:
+        raise ValueError("grid_points and inner_samples must both be at least 2")
+    for k in axes:
+        if not 0 <= k < model.n_dims:
+            raise IndexError(f"dimension index {k} out of range")
+    grid = _midpoint_grid(grid_points)
+    # a module-level lookup: perfbench/spans.py rebinds ``_lhs_matrix``
+    inner = _lhs_matrix(model.n_dims - len(axes), inner_samples, np.random.default_rng(seed))
+    lines = []
+    for lead in itertools.product(grid, repeat=len(axes) - 1):  # fixed coordinates of the line
+        nodes = np.column_stack([*(np.full(grid_points, c) for c in lead), grid])
+        lines.append(_conditional_means(model, axes, nodes, inner))
+    table = np.reshape(lines, (grid_points,) * len(axes))
+    f0 = float(np.mean(table))
+    if len(axes) == 1:
+        values = table - f0
+    else:
+        values = table - table.mean(axis=1, keepdims=True) - table.mean(axis=0, keepdims=True) + f0
+    return SobolFunctionEstimate(
+        axes=axes,
+        grids=(grid,) * len(axes),
+        values=values,
+        inner_samples=inner_samples,
+        seed=int(seed),
+        f0=f0,
+        model=model.name,
+    )
+
+
 def estimate_sobol_function_1d(
     model: ModelFunction,
     i: int,
@@ -331,32 +372,10 @@ def estimate_sobol_function_1d(
     inner_samples: int = 128,
     seed: int = 0,
 ) -> SobolFunctionEstimate:
-    """First-order Sobol' function of dimension ``i`` on a midpoint grid.
-
-    Every node averages the model over one shared sample of
-    ``inner_samples`` Latin Hypercube draws of the remaining dimensions.
-    It is drawn from ``default_rng(seed)``, i.e. the root
-    ``SeedSequence(seed)`` itself, a stream distinct from the two children
-    behind ``lhs_sample``.  The grand mean over all nodes is subtracted so
-    the estimate integrates to ~zero by construction.
-    """
-    if grid_points < 2 or inner_samples < 2:
-        raise ValueError("grid_points and inner_samples must both be at least 2")
-    if not 0 <= i < model.n_dims:
-        raise IndexError(f"dimension index {i} out of range")
-    grid = _midpoint_grid(grid_points)
-    inner = _lhs_matrix(model.n_dims - 1, inner_samples, np.random.default_rng(seed))
-    means = _conditional_means(model, (i,), grid[:, None], inner)
-    f0 = float(np.mean(means))
-    return SobolFunctionEstimate(
-        axes=(i,),
-        grids=(grid,),
-        values=means - f0,
-        inner_samples=inner_samples,
-        seed=int(seed),
-        f0=f0,
-        model=model.name,
-    )
+    """First-order Sobol' function of dimension ``i``: the conditional
+    means minus their grand mean, so the estimate integrates to ~zero by
+    construction (sampling as in :func:`_estimate_sobol_function`)."""
+    return _estimate_sobol_function(model, (i,), grid_points, inner_samples, seed)
 
 
 def estimate_sobol_function_2d(
@@ -367,39 +386,11 @@ def estimate_sobol_function_2d(
     inner_samples: int = 128,
     seed: int = 0,
 ) -> SobolFunctionEstimate:
-    """Second-order Sobol' function of the pair ``(i, j)``.
-
-    Builds the grid of conditional means over one inner sample of the
-    remaining dimensions, shared by every node and drawn from ``seed`` as
-    in :func:`estimate_sobol_function_1d`, then removes both marginal
-    means and the grand mean (the standard two-way ANOVA interaction
-    residual), which subtracts the first-order surfaces estimated from
-    the same evaluation budget.
-    """
-    if i == j:
-        raise ValueError("second-order function needs two distinct dimensions")
-    if grid_points < 2 or inner_samples < 2:
-        raise ValueError("grid_points and inner_samples must both be at least 2")
-    for k in (i, j):
-        if not 0 <= k < model.n_dims:
-            raise IndexError(f"dimension index {k} out of range")
-    grid = _midpoint_grid(grid_points)
-    inner = _lhs_matrix(model.n_dims - 2, inner_samples, np.random.default_rng(seed))
-    table = np.empty((grid_points, grid_points))
-    for a in range(grid_points):  # one model call per grid line bounds the memory
-        nodes = np.column_stack([np.full(grid_points, grid[a]), grid])
-        table[a] = _conditional_means(model, (i, j), nodes, inner)
-    grand = float(np.mean(table))
-    interaction = table - table.mean(axis=1, keepdims=True) - table.mean(axis=0, keepdims=True) + grand
-    return SobolFunctionEstimate(
-        axes=(i, j),
-        grids=(grid, grid),
-        values=interaction,
-        inner_samples=inner_samples,
-        seed=int(seed),
-        f0=grand,
-        model=model.name,
-    )
+    """Second-order Sobol' function of the pair ``(i, j)``: the conditional
+    means minus both marginal means plus the grand mean (the standard
+    two-way ANOVA interaction residual), which subtracts the first-order
+    functions estimated from the same evaluation budget."""
+    return _estimate_sobol_function(model, (i, j), grid_points, inner_samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +484,3 @@ def analytic_poly_reference() -> PolyReference:
             "123": zero,
         },
     )
-
-
-def result_to_json(result: SobolResult) -> str:
-    return json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n"

@@ -201,6 +201,24 @@ class TestSobolCommand:
         assert "['E2/E1', 'rho2/rho1', 'h2/h1', 'nu1', 'nu2']" in capsys.readouterr().err
         assert not (tmp_path / "sobol_result.json").exists()
 
+    @pytest.mark.parametrize(
+        "target, index, bounds, name",
+        [
+            ("SP", 2, (-1.0, 9.0), "h2/h1"),
+            ("SS", 3, (0.0, 0.49), "nu1"),
+            ("WS", 4, (-0.1, 0.4), "nu2"),
+        ],
+        ids=["ratio-not-positive", "poisson-above-cap", "poisson-below-zero"],
+    )
+    def test_bounds_outside_the_solver_domain_exit_2(self, tmp_path, capsys, target, index, bounds, name):
+        dims = list(canonical_space().dims)
+        dims[index] = ParameterDef(name, *bounds)
+        assert self.run_with_space(tmp_path, dims, target=target) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "Traceback" not in err
+        assert f"{name} bounds [{bounds[0]}, {bounds[1]}]" in err
+        assert not (tmp_path / "sobol_result.json").exists()
+
     def test_narrowed_canonical_space_runs(self, tmp_path):
         dims = [
             dataclasses.replace(d, upper=d.lower + 0.5 * (d.upper - d.lower))

@@ -1,0 +1,44 @@
+"""Smoke test of the traced benchmark: ``perfbench/spans.Tracer`` must
+still find, and wrap, the phonogap names it rebinds."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from phonogap.crystal import Layer, UnitCell
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import json, sys
+from spans import Tracer
+import phonogap.cli
+
+tracer = Tracer()
+tracer.install()
+main = tracer.timed("cli.main", phonogap.cli.main)
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "spans": sorted({s[0] for s in tracer.spans if s})}))
+"""
+
+
+def test_traced_commands_record_the_estimator_spans(tmp_path):
+    cell = tmp_path / "cell.json"
+    cell.write_text(
+        UnitCell((Layer(0.3, 1.0, 1.0, 0.2), Layer(0.4, 3.0, 20.0, 0.3), Layer(0.3, 8.0, 300.0, 0.1))).to_json()
+    )
+    commands = [
+        ["sobol", "--target", "poly", "--n", "100", "--functions", "x1;x2,x3", "--grid", "4", "--inner", "4"],
+        ["design", "--mode", "truncation", "--n", "50"],
+        ["bandgap", "--cell", str(cell)],
+    ]
+    commands = [[*argv, "--out", str(tmp_path / str(i))] for i, argv in enumerate(commands)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, json.dumps(commands)],
+        check=True, capture_output=True, text=True, env=env,
+    )
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == [0, 0, 0]
+    assert {"sobol.function_1d", "sobol.function_2d", "cli.main"} <= set(report["spans"])
