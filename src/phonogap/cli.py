@@ -150,7 +150,10 @@ def cmd_dispersion(args: argparse.Namespace) -> int:
     for pol in pols:
         omega_max = args.omega_max or 8.0 * math.pi / transit_time(cell, pol)
         curve = dispersion_curve(cell, omega_max, args.n_points, pol)
-        _write_lines(out, f"dispersion_{pol.value}", curve.csv_lines(), args.format)
+        if args.format == "csv":
+            (out / f"dispersion_{pol.value}.csv").write_text(curve._csv_text())
+        else:
+            _write_lines(out, f"dispersion_{pol.value}", curve.csv_lines(), args.format)
     _write_json(out / "bandgap_summary.json", _gap_summary(cell, pols, args.seed))
     print(f"wrote dispersion data for {', '.join(p.value for p in pols)} to {out}")
     return 0

@@ -40,16 +40,17 @@ trace keeps one sign, and across each band it runs monotonically from
 one sign to the other.  A grid scan takes the sign at its first gap
 sample and ends the gap at the first later sample that is not beyond one
 with that sign, so a passband narrower than the scan step still closes
-it; each edge the scan brackets is then refined by k-section to adjacent
-doubles.
+it; both edges the scan brackets are then refined together by k-section
+to adjacent doubles.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -159,6 +160,8 @@ class Layer:
     nu: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.h_hat, self.rho_hat, self.e_hat, self.nu))):
+            raise ValueError("layer thickness, density, modulus and Poisson's ratio must be finite")
         if self.h_hat <= 0 or self.rho_hat <= 0 or self.e_hat <= 0:
             raise ValueError("layer thickness, density and modulus must be positive")
         if self.nu >= 0.5:
@@ -187,7 +190,10 @@ class UnitCell:
         layers = tuple(self.layers)
         if not layers:
             raise ValueError("a unit cell needs at least one layer")
-        total = math.fsum(l.h_hat for l in layers)
+        try:
+            total = math.fsum(l.h_hat for l in layers)
+        except OverflowError as err:
+            raise ValueError("the layer thicknesses sum beyond the float range") from err
         if total != 1.0:
             hs = [l.h_hat / total for l in layers]
             # pin the thickest layer so the exact sum is one
@@ -404,10 +410,18 @@ class DispersionCurve(NamedTuple):
         """Header ``omega_hat,half_trace,k_hat_h,in_gap`` and one line per
         sample, gap samples with an empty ``k_hat_h``.  ``%.17g`` formats
         as ``format(x, ".17g")`` does, so every float round-trips."""
-        lines = ["omega_hat,half_trace,k_hat_h,in_gap\n"]
-        for w, ht, k, gap in zip(*(column.tolist() for column in self)):
-            lines.append("%.17g,%.17g,,1\n" % (w, ht) if gap else "%.17g,%.17g,%.17g,0\n" % (w, ht, k))
-        return lines
+        return self._csv_text().splitlines(keepends=True)
+
+    def _csv_text(self) -> str:
+        """The lines of :meth:`csv_lines` as one string, formatted by one
+        ``%`` operation: each row's template follows ``in_gap``, and gap
+        rows contribute no ``k_hat_h`` value."""
+        columns = np.column_stack((self.omega_hat, self.half_trace, self.k_hat_h))
+        keep = np.ones(columns.shape, dtype=bool)
+        keep[:, 2] = ~self.in_gap
+        templates = np.where(self.in_gap, "%.17g,%.17g,,1\n", "%.17g,%.17g,%.17g,0\n")
+        body = "".join(templates.tolist()) % tuple(columns[keep].tolist())
+        return "omega_hat,half_trace,k_hat_h,in_gap\n" + body
 
 
 def dispersion_curve(
@@ -430,29 +444,42 @@ def dispersion_curve(
     return DispersionCurve(omegas, values, k_hat_h, in_gap)
 
 
-def _refine_edge(
+def _refine_edges(
     grid: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
     sign: float,
-    entering: bool,
-) -> float:
-    """Edge of the gap between ``lo`` and ``hi``, to the last bit.
+    brackets: Sequence[tuple[float, float, bool]],
+) -> list[float]:
+    """Edges of one gap, one per ``(lo, hi, entering)`` bracket, to the last bit.
 
     Inside the gap ``sign * half_trace > 1``.  ``lo`` lies outside the gap
     and ``hi`` inside when ``entering``, the other way round when not.
-    Each k-section step evaluates ``_KSECTION_POINTS`` interior points in
-    one ``grid`` call and keeps the sub-bracket of the first crossing,
-    until the bracket holds adjacent doubles.
+    Each k-section step evaluates ``_KSECTION_POINTS`` interior points of
+    every open bracket in one ``grid`` call and keeps, per bracket, the
+    sub-bracket of the first crossing.  The points are those of
+    ``np.linspace(lo, hi, _KSECTION_POINTS + 2)[1:-1]``.  A bracket that
+    holds adjacent doubles takes no further points: they would round to
+    its ends, and the bracket could collapse onto one of them.
     """
+    lo, hi, entering = (np.array(column) for column in zip(*brackets))
+    n = _KSECTION_POINTS
+    k = np.arange(1, n + 1)
     for _ in range(_SOLVER_STEPS_MAX):
-        if np.nextafter(lo, hi) == hi:
+        live = np.flatnonzero(np.nextafter(lo, hi) != hi)
+        if not live.size:
             break
-        pts = np.linspace(lo, hi, _KSECTION_POINTS + 2)[1:-1]
-        crossed = (sign * grid(pts) > 1.0) == entering
-        j = int(np.argmax(crossed)) if crossed.any() else len(pts)
-        lo, hi = (pts[j - 1] if j else lo), (pts[j] if j < len(pts) else hi)
-    return float(0.5 * (lo + hi))
+        # row r holds lo, the n interior points and hi; with pts[r, j + 1]
+        # the first crossed point (j = n if none is), the bracket becomes
+        # (pts[r, j], pts[r, j + 1])
+        pts = np.empty((live.size, n + 2))
+        pts[:, 0], pts[:, -1] = lo[live], hi[live]
+        pts[:, 1:-1] = pts[:, :1] + k * ((pts[:, -1:] - pts[:, :1]) / (n + 1))
+        crossed = np.ones((live.size, n + 1), dtype=bool)
+        values = grid(pts[:, 1:-1].ravel()).reshape(-1, n)
+        crossed[:, :n] = (sign * values > 1.0) == entering[live, None]
+        j = crossed.argmax(axis=1)
+        rows = np.arange(live.size)
+        lo[live], hi[live] = pts[rows, j], pts[rows, j + 1]
+    return (0.5 * (lo + hi)).tolist()
 
 
 def bilayer_first_gaps(
@@ -520,40 +547,52 @@ def _scan_first_gap(cell: UnitCell, pol: Polarization) -> BandGap | None:
     step = math.pi / (_SCAN_STEPS_PER_BRANCH * tau)
     n_max = int(math.floor(_SCAN_CAP_BRAGG * math.pi / tau / step))
 
-    def first_hit(
-        k: int, last: int, hit: Callable[[np.ndarray], np.ndarray]
-    ) -> tuple[int | None, float | None]:
-        """First grid index in ``[k, last]`` where ``hit`` holds for the half
-        trace, and the half trace there; ``(None, None)`` if there is none."""
+    def chunks(k: int, last: int) -> Iterator[tuple[int, np.ndarray]]:
+        """``(k, half traces)`` of the grid samples ``k..last``, 256 at a time."""
         while k <= last:
             stop = min(k + 256, last + 1)
-            values = grid(step * np.arange(k, stop))
+            yield k, grid(step * np.arange(k, stop))
+            k = stop
+
+    def first_hit(
+        samples: Iterable[tuple[int, np.ndarray]], hit: Callable[[np.ndarray], np.ndarray]
+    ) -> tuple[int, np.ndarray] | None:
+        """The first grid index where ``hit`` holds for the half trace, and
+        the half traces of its chunk from that index on; None if there is
+        none."""
+        for k, values in samples:
             found = hit(values)
             if found.any():
                 j = int(np.argmax(found))
-                return k + j, float(values[j])
-            k = stop
-        return None, None
-
-    i, ht = first_hit(1, n_max, lambda v: np.abs(v) > 1.0 + _GAP_GUARD)
-    if i is None:
+                return k + j, values[j:]
         return None
+
+    hit = first_hit(chunks(1, n_max), lambda v: np.abs(v) > 1.0 + _GAP_GUARD)
+    if hit is None:
+        return None
+    i, values = hit
     # half_trace -> 1 as omega -> 0, so the sample before the first gap
     # sample (0 at worst) is outside the gap
-    sign = math.copysign(1.0, ht)
-    start = _refine_edge(grid, step * (i - 1), step * i, sign, entering=True)
+    sign = math.copysign(1.0, values[0])
+    entry = (step * (i - 1), step * i, True)
 
     # A gap keeps its sign and each band is monotone (module docstring), so
     # the first sample not beyond one with that sign lies past the gap end,
     # even where the passband in between is narrower than the scan step.
-    j, _ = first_hit(i + 1, 4 * n_max, lambda v: sign * v <= 1.0 + _GAP_GUARD)
-    if j is None:
+    # The search reads the rest of the start's chunk first.
+    hit = first_hit(
+        itertools.chain([(i + 1, values[1:])], chunks(i + len(values), 4 * n_max)),
+        lambda v: sign * v <= 1.0 + _GAP_GUARD,
+    )
+    if hit is None:
+        (start,) = _refine_edges(grid, sign, [entry])
         layers = [(l.h_hat, l.rho_hat, l.e_hat, l.nu) for l in cell.layers]
         raise GapNotClosedError(
             f"{pol.value}-wave band gap starting at omega_hat={start:.17g} did not close "
             f"below four search caps (layers h, rho, E, nu: {layers})"
         )
-    end = _refine_edge(grid, step * (j - 1), step * j, sign, entering=False)
+    j = hit[0]
+    start, end = _refine_edges(grid, sign, [entry, (step * (j - 1), step * j, False)])
     return BandGap(start=start, end=end)
 
 
@@ -572,9 +611,10 @@ def first_band_gap(cell: UnitCell, pol: Polarization | str) -> BandGap | None:
     gap ends at the first later sample whose ``sign * half_trace`` is not
     above one: the half trace keeps its sign inside a gap and is monotone
     across each band (module docstring), so this also holds where the
-    passband lies between two samples.  Both edges are refined by
-    k-section, 64 points per step, until each bracket holds adjacent
-    doubles; gaps narrower than the scan step are treated as no gap.
+    passband lies between two samples.  Both edges are refined together by
+    k-section, 64 points per bracket and step, until each bracket holds
+    adjacent doubles; gaps narrower than the scan step are treated as no
+    gap.
     Raises :class:`GapNotClosedError` when the gap does not close within
     four times that cap.
     """

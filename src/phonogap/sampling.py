@@ -8,6 +8,7 @@ uniformly in their exponent).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,8 @@ class ParameterDef:
     def __post_init__(self) -> None:
         if self.scale not in _SCALES:
             raise ValueError(f"unknown scale {self.scale!r}, expected one of {_SCALES}")
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise ValueError(f"{self.name}: bounds must be finite")
         if not self.lower < self.upper:
             raise ValueError(f"{self.name}: lower bound must be < upper bound")
         if self.scale == "log10" and self.lower <= 0:

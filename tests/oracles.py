@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from phonogap.crystal import (
     _GAP_GUARD,
+    _KSECTION_POINTS,
+    _SOLVER_STEPS_MAX,
     Layer,
     Polarization,
     UnitCell,
@@ -136,6 +139,33 @@ def bisect_bilayer_gaps(points: np.ndarray, pol: Polarization | str) -> tuple[np
         inner = np.where(positive, inner, mid)
     edges = np.where(has_gap, 0.5 * (outer + inner), np.nan)
     return edges[0], edges[1]
+
+
+def ksection_edge(
+    grid: Callable[[np.ndarray], np.ndarray],
+    lo: float,
+    hi: float,
+    sign: float,
+    entering: bool,
+) -> float:
+    """Edge of the gap between ``lo`` and ``hi``, to the last bit, one
+    bracket at a time.
+
+    Inside the gap ``sign * half_trace > 1``.  ``lo`` lies outside the gap
+    and ``hi`` inside when ``entering``, the other way round when not.
+    Each k-section step evaluates ``np.linspace``'s interior points in one
+    ``grid`` call and keeps the sub-bracket of the first crossing, until
+    the bracket holds adjacent doubles.  The scalar form of the scan's
+    batched refinement, which must match it bit for bit.
+    """
+    for _ in range(_SOLVER_STEPS_MAX):
+        if np.nextafter(lo, hi) == hi:
+            break
+        pts = np.linspace(lo, hi, _KSECTION_POINTS + 2)[1:-1]
+        crossed = (sign * grid(pts) > 1.0) == entering
+        j = int(np.argmax(crossed)) if crossed.any() else len(pts)
+        lo, hi = (pts[j - 1] if j else lo), (pts[j] if j < len(pts) else hi)
+    return float(0.5 * (lo + hi))
 
 
 def dispersion_reference_rows(omegas: np.ndarray, half_traces: np.ndarray) -> list[list[str]]:

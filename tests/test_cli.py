@@ -121,6 +121,24 @@ class TestBandgapCommand:
         gap = summary["first_band_gap"]["S"]
         assert gap["width"] == pytest.approx(gap["end"] - gap["start"], rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "layers",
+        [
+            '{"h": NaN, "rho": 20, "e": 100, "nu": 0.3}, {"h": 0.7, "rho": 5, "e": 30, "nu": 0.1}',
+            '{"h": 0.5, "rho": Infinity, "e": 100, "nu": 0.3}, {"h": 0.7, "rho": 5, "e": 30, "nu": 0.1}',
+            '{"h": 0.5, "rho": 20, "e": 1e400, "nu": 0.3}, {"h": 0.7, "rho": 5, "e": 30, "nu": 0.1}',
+            '{"h": 1.5e308, "rho": 20, "e": 100, "nu": 0.3}, {"h": 1.5e308, "rho": 5, "e": 30, "nu": 0.1}',
+        ],
+        ids=["h-nan", "rho-infinity", "e-overflows", "h-sum-overflows"],
+    )
+    def test_cell_beyond_the_float_range_exits_2(self, tmp_path, capsys, layers):
+        path = tmp_path / "cell.json"
+        path.write_text('{"layers": [{"h": 1, "rho": 1, "e": 1, "nu": 0.2}, ' + layers + "]}")
+        assert main(["bandgap", "--cell", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: malformed cell file") and "Traceback" not in err
+        assert not (tmp_path / "bandgap_summary.json").exists()
+
 
 class TestSobolCommand:
     def test_poly_study_with_comparison(self, tmp_path):
@@ -217,6 +235,21 @@ class TestSobolCommand:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and "Traceback" not in err
         assert f"{name} bounds [{bounds[0]}, {bounds[1]}]" in err
+        assert not (tmp_path / "sobol_result.json").exists()
+
+    @pytest.mark.parametrize("text", ["1e400", "Infinity"])
+    def test_infinite_bound_exits_2(self, tmp_path, capsys, text):
+        payload = json.loads(canonical_space().to_json())
+        payload["dims"][0]["upper"] = "@"
+        space_file = tmp_path / "space.json"
+        space_file.write_text(json.dumps(payload).replace('"@"', text))
+        code = main(
+            ["sobol", "--target", "SS", "--n", "100", "--space", str(space_file),
+             "--out", str(tmp_path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: malformed space file") and "E2/E1" in err
         assert not (tmp_path / "sobol_result.json").exists()
 
     def test_narrowed_canonical_space_runs(self, tmp_path):

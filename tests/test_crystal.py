@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -13,7 +15,11 @@ from phonogap.crystal import (
     ObjectiveKind,
     Polarization,
     UnitCell,
+    _GAP_GUARD,
+    _SCAN_CAP_BRAGG,
+    _SCAN_STEPS_PER_BRANCH,
     _ht_grid,
+    _refine_edges,
     bilayer_first_gaps,
     cell_transfer_matrix,
     dispersion_curve,
@@ -30,9 +36,19 @@ from phonogap.crystal import (
 from phonogap.sampling import ParameterDef, ParameterSpace, canonical_space, lhs_sample, map_to_space
 from phonogap.sobol import ModelEvaluationError
 
-from oracles import bisect_bilayer_gaps, brute_force_first_gap, layer_matrix_oracle
+from oracles import (
+    bisect_bilayer_gaps,
+    brute_force_first_gap,
+    dispersion_reference_rows,
+    ksection_edge,
+    layer_matrix_oracle,
+)
 
 REFERENCE_CELL = two_layer_cell(1000.0, 2.0, 2.0, 0.2, 0.2)
+# a strong-contrast stack whose first S gap spans (0.093, 4.84)
+THREE_LAYER_CELL = UnitCell(
+    (Layer(0.36, 1.0, 1.0, 0.2), Layer(0.41, 846.0, 1656.0, 0.2), Layer(0.23, 829.0, 7412.0, 0.2))
+)
 
 layer_strategy = st.builds(
     Layer,
@@ -263,16 +279,33 @@ class TestDispersionCurve:
     def test_vectorized_arccos_matches_per_point_calls(self):
         # numpy may take a SIMD path for arrays; the CSV must not change
         # with it, so every wave number equals the one-point call bit for bit
-        cell = UnitCell(
-            (Layer(0.36, 1.0, 1.0, 0.2), Layer(0.41, 846.0, 1656.0, 0.2), Layer(0.23, 829.0, 7412.0, 0.2))
-        )
-        for c, pol in ((REFERENCE_CELL, Polarization.S), (cell, Polarization.P)):
+        for c, pol in ((REFERENCE_CELL, Polarization.S), (THREE_LAYER_CELL, Polarization.P)):
             curve = dispersion_curve(c, 40.0, 2001, pol)
             passband = ~curve.in_gap
             per_point = [np.arccos(np.clip(ht, -1.0, 1.0)) for ht in curve.half_trace[passband]]
             np.testing.assert_array_equal(
                 curve.k_hat_h[passband].view(np.uint64), np.array(per_point).view(np.uint64)
             )
+
+    @pytest.mark.parametrize(
+        "cell, omega_max, n_points, gap_rows",
+        [
+            (THREE_LAYER_CELL, 4.0, 20, 20),
+            (UnitCell(tuple(Layer(h, 1.0, 1.0, 0.3) for h in (0.2, 0.5, 0.3))), 30.0, 500, 0),
+            (REFERENCE_CELL, 3.0, 2, 1),
+        ],
+        ids=["all-gap", "gap-free", "two-points"],
+    )
+    def test_csv_lines_match_per_point_reference(self, cell, omega_max, n_points, gap_rows):
+        curve = dispersion_curve(cell, omega_max, n_points, Polarization.S)
+        assert curve.in_gap.sum() == gap_rows
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(
+            dispersion_reference_rows(curve.omega_hat, curve.half_trace)
+        )
+        lines = curve.csv_lines()
+        assert len(lines) == n_points + 1
+        assert "".join(lines) == text.getvalue()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -298,6 +331,16 @@ def random_stack(rng: np.random.Generator) -> UnitCell:
             )
         )
     return UnitCell(tuple(layers))
+
+
+def recording(grid, calls: list):
+    """``grid`` that appends the frequencies of each call to ``calls``."""
+
+    def wrapped(omegas):
+        calls.append(np.array(omegas, dtype=float))
+        return grid(omegas)
+
+    return wrapped
 
 
 def assert_gap_keeps_one_sign(grid, gap: BandGap) -> None:
@@ -351,6 +394,35 @@ class TestGeneralScan:
         below, above = grid(step * np.array([j - 1, j]))
         assert min(abs(below), abs(above)) > 1.0 and below * above < 0.0
         assert_gap_keeps_one_sign(grid, gap)
+
+    @pytest.mark.parametrize("pol", [Polarization.S, Polarization.P])
+    def test_batched_refinement_matches_scalar_ksection(self, pol):
+        # both edges refined in one loop must equal each edge refined alone
+        rng = np.random.default_rng(20261019)
+        for _ in range(40):
+            cell = random_stack(rng)
+            gap = first_band_gap(cell, pol)
+            assert gap is not None
+            # the scan's brackets, from one sweep of its grid
+            grid = _ht_grid(cell, pol)
+            tau = transit_time(cell, pol)
+            step = math.pi / (_SCAN_STEPS_PER_BRANCH * tau)
+            n_max = int(math.floor(_SCAN_CAP_BRAGG * math.pi / tau / step))
+            values = grid(step * np.arange(1, 4 * n_max + 1))
+            i = 1 + int(np.argmax(np.abs(values[:n_max]) > 1.0 + _GAP_GUARD))
+            sign = math.copysign(1.0, values[i - 1])
+            j = i + 1 + int(np.argmax(sign * values[i:] <= 1.0 + _GAP_GUARD))
+            brackets = [(step * (i - 1), step * i, True), (step * (j - 1), step * j, False)]
+            batched, scalar = [], []
+            edges = _refine_edges(recording(grid, batched), sign, brackets)
+            assert edges == [
+                ksection_edge(recording(grid, scalar), lo, hi, sign, entering)
+                for lo, hi, entering in brackets
+            ]
+            # the same points, and none of a bracket that holds adjacent doubles
+            assert np.array_equal(np.sort(np.concatenate(batched)), np.sort(np.concatenate(scalar)))
+            assert _refine_edges(grid, sign, brackets[:1]) == edges[:1]
+            assert [gap.start, gap.end] == edges
 
     def test_homogeneous_stack_has_no_gap(self):
         cell = UnitCell(tuple(Layer(h, 1.0, 1.0, 0.3) for h in (0.2, 0.5, 0.3)))
