@@ -6,12 +6,11 @@ byte-identical output files.  ``--threads`` is accepted and has no
 effect: every model evaluation runs in one thread.
 Exit codes: 0 success, 1 numerical failure (a gap-free cell where a gap
 is required, or a gap the general scan cannot close), 2 configuration
-errors.
+errors, an output path that cannot be written among them.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -65,11 +64,6 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, rows: list[list[str]]) -> None:
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
-
-
 def _json_field(text: str) -> float | str | None:
     """A table field as a JSON value: the number it spells when that is a
     finite float (JSON has no NaN or infinity), null when empty (a gap's
@@ -83,28 +77,18 @@ def _json_field(text: str) -> float | str | None:
     return value if math.isfinite(value) else text
 
 
-def _write_table(out: Path, name: str, rows: list[list[str]], fmt: str) -> Path:
-    """Tabular artifact in the requested format; rows carry full precision,
-    and a JSON number has the value of its CSV field."""
-    if fmt == "csv":
-        path = out / f"{name}.csv"
-        _write_csv(path, rows)
-    else:
-        path = out / f"{name}.json"
-        header, *data = rows
-        payload = [{h: _json_field(v) for h, v in zip(header, r)} for r in data]
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-    return path
-
-
-def _write_lines(out: Path, name: str, lines: list[str], fmt: str) -> Path:
-    """A table given as preformatted CSV lines whose fields need no
-    quoting: written as they are, or split into fields for JSON."""
+def _write_table(out: Path, name: str, text: str, fmt: str) -> None:
+    """A table given as its CSV text: written as it is, or as JSON records
+    whose numbers have the values of their CSV fields.  No field needs
+    quoting: numbers are ``%.17g``, and every label is ``x1``..``x3`` or a
+    canonical dimension name (``objective_model`` rejects any other), alone
+    or joined by ``|``.  So the text is what ``csv.writer`` would write,
+    and splitting a line at its commas gives back its fields."""
     if fmt == "json":
-        return _write_table(out, name, [line[:-1].split(",") for line in lines], fmt)
-    path = out / f"{name}.csv"
-    path.write_text("".join(lines))
-    return path
+        header, *data = (line.split(",") for line in text.splitlines())
+        payload = [{h: _json_field(v) for h, v in zip(header, r)} for r in data]
+        text = json.dumps(payload, indent=2) + "\n"
+    (out / f"{name}.{fmt}").write_text(text)
 
 
 def _load_cell(path: str) -> UnitCell:
@@ -150,10 +134,7 @@ def cmd_dispersion(args: argparse.Namespace) -> int:
     for pol in pols:
         omega_max = args.omega_max or 8.0 * math.pi / transit_time(cell, pol)
         curve = dispersion_curve(cell, omega_max, args.n_points, pol)
-        if args.format == "csv":
-            (out / f"dispersion_{pol.value}.csv").write_text(curve._csv_text())
-        else:
-            _write_lines(out, f"dispersion_{pol.value}", curve.csv_lines(), args.format)
+        _write_table(out, f"dispersion_{pol.value}", curve.csv_text(), args.format)
     _write_json(out / "bandgap_summary.json", _gap_summary(cell, pols, args.seed))
     print(f"wrote dispersion data for {', '.join(p.value for p in pols)} to {out}")
     return 0
@@ -208,7 +189,7 @@ def cmd_sobol(args: argparse.Namespace) -> int:
     samples = lhs_sample(model.n_dims, args.n, args.seed)
     result = sobol_indices(model, samples, dim_names=names)
     _write_json(out / "sobol_result.json", result.to_json_dict())
-    _write_table(out, "sobol_indices", result.to_csv_rows(), args.format)
+    _write_table(out, "sobol_indices", result.csv_text(), args.format)
 
     for axes in requests:
         tag = "-".join(names[a].replace("/", "_") for a in axes)
@@ -218,7 +199,7 @@ def cmd_sobol(args: argparse.Namespace) -> int:
             est = estimate_sobol_function_2d(
                 model, axes[0], axes[1], args.grid, args.inner, seed=args.seed
             )
-        _write_lines(out, f"sobol_function_{tag}", est.csv_lines(), args.format)
+        _write_table(out, f"sobol_function_{tag}", est.csv_text(), args.format)
 
     if args.target == "poly":
         ref = analytic_poly_reference()
@@ -389,6 +370,10 @@ def main(argv: list[str] | None = None) -> int:
         # band-gap model failures carry the physical point in their message
         print(f"numerical failure: {err}", file=sys.stderr)
         return 1
+    except OSError as err:
+        # input files are read under ConfigError handlers: this is an output path
+        print(f"configuration error: cannot write output: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

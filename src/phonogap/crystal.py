@@ -406,16 +406,12 @@ class DispersionCurve(NamedTuple):
     k_hat_h: np.ndarray
     in_gap: np.ndarray
 
-    def csv_lines(self) -> list[str]:
+    def csv_text(self) -> str:
         """Header ``omega_hat,half_trace,k_hat_h,in_gap`` and one line per
         sample, gap samples with an empty ``k_hat_h``.  ``%.17g`` formats
-        as ``format(x, ".17g")`` does, so every float round-trips."""
-        return self._csv_text().splitlines(keepends=True)
-
-    def _csv_text(self) -> str:
-        """The lines of :meth:`csv_lines` as one string, formatted by one
-        ``%`` operation: each row's template follows ``in_gap``, and gap
-        rows contribute no ``k_hat_h`` value."""
+        as ``format(x, ".17g")`` does, so every float round-trips.  One
+        ``%`` operation formats the whole table: each row's template
+        follows ``in_gap``, and gap rows contribute no ``k_hat_h`` value."""
         columns = np.column_stack((self.omega_hat, self.half_trace, self.k_hat_h))
         keep = np.ones(columns.shape, dtype=bool)
         keep[:, 2] = ~self.in_gap

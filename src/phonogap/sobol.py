@@ -173,27 +173,21 @@ class SobolResult:
             }
         return out
 
-    def to_csv_rows(self) -> list[list[str]]:
-        """One row per index: label, order, partial variance, index."""
-        rows = [["label", "order", "partial_variance", "index"]]
-        for i, name in enumerate(self.dim_names):
-            rows.append(
-                [name, "1", _fmt(self.first_order[i]), _fmt(self.first_order_indices[i])]
-            )
-        for i, j in self._pairs():
-            rows.append(
-                [
-                    f"{self.dim_names[i]}|{self.dim_names[j]}",
-                    "2",
-                    _fmt(self.second_order[i, j]),
-                    _fmt(self.second_order_indices[i, j]),
-                ]
-            )
-        return rows
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    def csv_text(self) -> str:
+        """Header ``label,order,partial_variance,index`` and one line per
+        index, first order then pairs, each float as ``%.17g``."""
+        names = self.dim_names
+        lines = ["label,order,partial_variance,index\n"]
+        lines += [
+            "%s,1,%.17g,%.17g\n" % (name, d, s)
+            for name, d, s in zip(names, self.first_order.tolist(), self.first_order_indices.tolist())
+        ]
+        lines += [
+            "%s|%s,2,%.17g,%.17g\n"
+            % (names[i], names[j], self.second_order[i, j], self.second_order_indices[i, j])
+            for i, j in self._pairs()
+        ]
+        return "".join(lines)
 
 
 def sobol_indices(
@@ -278,17 +272,16 @@ class SobolFunctionEstimate:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
-    def csv_lines(self) -> list[str]:
+    def csv_text(self) -> str:
         """Header ``u<axis>[,u<axis>],value`` and one line per grid node,
         in row-major order of ``values``.  Each grid coordinate is
         formatted once; ``%.17g`` formats as ``format(x, ".17g")`` does,
-        so every float round-trips.  No field needs quoting, so the lines
-        are what ``csv.writer`` would write."""
+        so every float round-trips."""
         coords = [["%.17g" % g for g in grid.tolist()] for grid in self.grids]
-        return [",".join(f"u{a}" for a in self.axes) + ",value\n"] + [
+        return ",".join(f"u{a}" for a in self.axes) + ",value\n" + "".join([
             "%s,%.17g\n" % (",".join(node), v)
             for node, v in zip(itertools.product(*coords), self.values.ravel().tolist())
-        ]
+        ])
 
 
 def _midpoint_grid(n: int) -> np.ndarray:

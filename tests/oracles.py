@@ -193,6 +193,20 @@ def surface_reference_rows(est: SobolFunctionEstimate) -> list[list[str]]:
     return rows
 
 
+def index_reference_rows(result: SobolResult) -> list[list[str]]:
+    """``sobol_indices`` CSV rows built one index at a time, with one
+    ``format(x, ".17g")`` per field, for ``csv.writer`` to write."""
+    names = result.dim_names
+    rows = [["label", "order", "partial_variance", "index"]]
+    for i, name in enumerate(names):
+        fields = (result.first_order[i], result.first_order_indices[i])
+        rows.append([name, "1", *(format(float(x), ".17g") for x in fields)])
+    for i, j in itertools.combinations(range(len(names)), 2):
+        fields = (result.second_order[i, j], result.second_order_indices[i, j])
+        rows.append([f"{names[i]}|{names[j]}", "2", *(format(float(x), ".17g") for x in fields)])
+    return rows
+
+
 def gauss_legendre(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [lo, hi]."""
     x, w = np.polynomial.legendre.leggauss(n)

@@ -409,24 +409,27 @@ class TestOutputContracts:
             except ValueError:
                 return field
 
+        # each command writes to its own directory: both sobol runs write sobol_indices
         commands = [
             ["dispersion", "--cell", str(reference_cell_file), "--pol", "S", "--n-points", "300"],
             ["sobol", "--target", "poly", "--n", "200", "--seed", "3", "--functions", "x2;x2,x3",
              "--grid", "5", "--inner", "4"],
+            ["sobol", "--target", "SS", "--n", "100"],
         ]
-        for argv in commands:
+        for k, argv in enumerate(commands):
             for fmt in ("csv", "json"):
-                assert main([*argv, "--format", fmt, "--out", str(tmp_path / fmt)]) == 0
+                assert main([*argv, "--format", fmt, "--out", str(tmp_path / str(k) / fmt)]) == 0
         tables = {
-            "dispersion_S": {float, type(None)},
-            "sobol_indices": {float, str},
-            "sobol_function_x2": {float},
-            "sobol_function_x2-x3": {float},
+            (0, "dispersion_S"): {float, type(None)},
+            (1, "sobol_indices"): {float, str},
+            (1, "sobol_function_x2"): {float},
+            (1, "sobol_function_x2-x3"): {float},
+            (2, "sobol_indices"): {float, str},
         }
-        for name, expected_kinds in tables.items():
-            header, *rows = read_csv(tmp_path / "csv" / f"{name}.csv")
+        for (k, name), expected_kinds in tables.items():
+            header, *rows = read_csv(tmp_path / str(k) / "csv" / f"{name}.csv")
             expected = [dict(zip(header, map(typed, r))) for r in rows]
-            payload = json.loads((tmp_path / "json" / f"{name}.json").read_text())
+            payload = json.loads((tmp_path / str(k) / "json" / f"{name}.json").read_text())
             # repr tells 1.0 from 1 and "1.0" and shows every bit of a float
             assert list(map(repr, payload)) == list(map(repr, expected))
             kinds = {type(v) for record in expected for v in record.values()}
@@ -511,6 +514,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: S-wave band gap starting at omega_hat=")
         assert "did not close" in err and "(0.41, 846.0, 1656.0, 0.2)" in err
+
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (["bandgap", "--cell", "CELL"], "file"),  # FileExistsError
+            (["sobol", "--target", "poly", "--n", "100"], "file/sub"),  # NotADirectoryError
+            (["design", "--mode", "eval", "--params", "1000,2,2,0.2,0.2"], "env:file"),  # FileExistsError
+            (["sobol", "--target", "poly", "--n", "100"], "dir"),  # IsADirectoryError
+        ],
+        ids=["out-is-a-file", "out-below-a-file", "env-out-is-a-file", "artifact-is-a-directory"],
+    )
+    def test_unwritable_output_exits_2(
+        self, tmp_path, capsys, monkeypatch, reference_cell_file, argv, out
+    ):
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir" / "sobol_result.json").mkdir(parents=True)
+        argv = [str(reference_cell_file) if a == "CELL" else a for a in argv]
+        if out.startswith("env:"):
+            monkeypatch.setenv("PHONOGAP_OUT", str(tmp_path / out[4:]))
+        else:
+            argv += ["--out", str(tmp_path / out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot write output: ")
+        assert "Traceback" not in err
 
     def test_reproducible_reruns_are_byte_identical(self, tmp_path):
         out1 = tmp_path / "r1"

@@ -303,7 +303,7 @@ class TestDispersionCurve:
         csv.writer(text, lineterminator="\n").writerows(
             dispersion_reference_rows(curve.omega_hat, curve.half_trace)
         )
-        lines = curve.csv_lines()
+        lines = curve.csv_text().splitlines(keepends=True)
         assert len(lines) == n_points + 1
         assert "".join(lines) == text.getvalue()
 

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phonogap.sampling import _lhs_matrix, lhs_sample
+from phonogap.crystal import objective_model
+from phonogap.sampling import _lhs_matrix, canonical_space, lhs_sample
 from phonogap.sobol import (
     ModelEvaluationError,
     ModelFunction,
@@ -23,7 +24,7 @@ from phonogap.sobol import (
     sobol_indices,
 )
 
-from oracles import gauss_legendre, index_table, surface_reference_rows
+from oracles import gauss_legendre, index_reference_rows, index_table, surface_reference_rows
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -194,9 +195,20 @@ class TestSobolIndices:
         assert set(table) == {
             "S[x1]", "S[x2]", "S[x3]", "S[x1,x2]", "S[x1,x3]", "S[x2,x3]",
         }
-        rows = r.to_csv_rows()
+        rows = [line.split(",") for line in r.csv_text().splitlines()]
         assert rows[0] == ["label", "order", "partial_variance", "index"]
         assert len(rows) == 1 + 3 + 3
+
+    @pytest.mark.parametrize("target", ["poly", "SS"])
+    def test_index_csv_is_the_csv_writer_bytes(self, target):
+        # the SS labels hold "/" and the pair labels "|"
+        if target == "poly":
+            r = sobol_indices(POLY, lhs_sample(3, 800, 4), dim_names=("x1", "x2", "x3"))
+        else:
+            r = sobol_indices(objective_model("SS"), lhs_sample(5, 100, 4), dim_names=canonical_space().names)
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(index_reference_rows(r))
+        assert r.csv_text() == text.getvalue()
 
 
 class TestEvaluationFailures:
@@ -328,7 +340,7 @@ class TestSobolFunctions:
     def test_estimate_invariants_and_csv(self):
         est = estimate_sobol_function_1d(POLY, 0, 16, 8, seed=3)
         assert (np.diff(est.grids[0]) > 0).all()
-        lines = est.csv_lines()
+        lines = est.csv_text().splitlines(keepends=True)
         assert lines[0] == "u0,value\n"
         assert len(lines) == 17
         with pytest.raises(ValueError):
@@ -346,7 +358,7 @@ class TestSobolFunctions:
             est = estimate_sobol_function_2d(POLY, *axes, 64, 8, seed=9)
         text = io.StringIO()
         csv.writer(text, lineterminator="\n").writerows(surface_reference_rows(est))
-        assert "".join(est.csv_lines()) == text.getvalue()
+        assert est.csv_text() == text.getvalue()
 
 
 class TestAnalyticPolyModel:
