@@ -267,7 +267,7 @@ def cmd_design(args: argparse.Namespace) -> int:
 
     payload = {"mode": "truncation", "n_samples": args.n, "seed": args.seed, "curves": {}}
     for kind in kinds:
-        curve = truncation_curve(kind, samples)
+        curve = truncation_curve(objective_model(kind), kind, samples)
         payload["curves"][kind] = curve.to_json_dict()
     _write_json(out / "design_truncation.json", payload)
     for kind in kinds:

@@ -168,6 +168,13 @@ class Layer:
             raise ValueError(f"Poisson's ratio {self.nu} >= 0.5: material is singular")
         if not 0.0 <= self.nu <= NU_CAP:
             raise ValueError(f"Poisson's ratio {self.nu} outside the supported [0, {NU_CAP}]")
+        for pol in Polarization:
+            c = wave_speed(self, pol)
+            if not (0.0 < c < math.inf and 0.0 < self.rho_hat * c < math.inf):
+                raise ValueError(
+                    f"layer {pol.value}-wave speed {c:g} or impedance {self.rho_hat * c:g} "
+                    "is zero or beyond the float range"
+                )
 
     def modulus(self, pol: Polarization | str) -> float:
         """Shear modulus for S-waves, longitudinal modulus for P-waves."""
@@ -427,14 +434,20 @@ def dispersion_curve(
 
     Within passbands the wave number is folded into the first Brillouin
     zone, ``k_hat h_hat = arccos(half_trace) in [0, pi]``; in gaps it is
-    NaN and the sample is flagged.
+    NaN and the sample is flagged.  A half trace beyond the float range
+    raises :class:`ModelEvaluationError` at its first sample.
     """
     if omega_max <= 0:
         raise ValueError("omega_max must be positive")
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
     omegas = np.linspace(0.0, omega_max, n_points + 1)[1:]
-    values = _ht_grid(cell, pol)(omegas)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _ht_grid(cell, pol)(omegas)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ModelEvaluationError(i, [omegas[i]], "non-finite half trace")
     in_gap = np.abs(values) > 1.0
     k_hat_h = np.where(in_gap, np.nan, np.arccos(np.clip(values, -1.0, 1.0)))
     return DispersionCurve(omegas, values, k_hat_h, in_gap)

@@ -119,10 +119,6 @@ class DesignEquation:
     log_base: float
     omega_scale: float
 
-    @property
-    def n_terms(self) -> int:
-        return len(self.terms)
-
     def transform(self, params: np.ndarray) -> dict[str, np.ndarray]:
         """Physical five-vectors -> transformed coordinate columns."""
         pts = np.atleast_2d(np.asarray(params, dtype=float))
@@ -136,22 +132,25 @@ class DesignEquation:
             "nu1": pts[:, 3],
         }
 
-    def evaluate(self, params: np.ndarray, n_terms: int | None = None) -> np.ndarray | float:
-        """Surrogate prediction in radial omega_hat units.
+    def partial_sums(self, params: np.ndarray) -> np.ndarray:
+        """Prediction after every truncation level, in radial omega_hat units.
 
-        ``n_terms`` truncates the term sum (0 keeps only the constant).
-        Out-of-box inputs warn but still evaluate.
+        Row ``k`` of the ``(len(terms) + 1, m)`` result is the constant plus
+        the first ``k`` terms, added in term order.  Each term is evaluated
+        once; no range check.
         """
         pts = np.atleast_2d(np.asarray(params, dtype=float))
-        squeeze = np.asarray(params).ndim == 1
-        _warn_if_outside(pts)
         coords = self.transform(pts)
-        keep = self.terms if n_terms is None else self.terms[: int(n_terms)]
-        total = np.full(pts.shape[0], self.f0)
-        for term in keep:
-            total = total + term.evaluate(coords)
-        total = total * self.omega_scale
-        return float(total[0]) if squeeze else total
+        parts = [np.full(pts.shape[0], self.f0)] + [term.evaluate(coords) for term in self.terms]
+        return np.cumsum(parts, axis=0) * self.omega_scale
+
+    def evaluate(self, params: np.ndarray) -> np.ndarray | float:
+        """The last row of :meth:`partial_sums`, after a range check:
+        out-of-box inputs warn but still evaluate."""
+        pts = np.atleast_2d(np.asarray(params, dtype=float))
+        _warn_if_outside(pts)
+        total = self.partial_sums(pts)[-1]
+        return float(total[0]) if np.asarray(params).ndim == 1 else total
 
 
 def _warn_if_outside(pts: np.ndarray) -> None:
@@ -196,17 +195,14 @@ def load_design_equations() -> dict[str, DesignEquation]:
     return out
 
 
-def design_model(kind: str, n_terms: int | None = None) -> ModelFunction:
-    """Design equation wrapped as a unit-hypercube model (for error studies)."""
+def design_model(kind: str) -> ModelFunction:
+    """Design equation wrapped as a unit-hypercube model (for error studies).
+
+    Its samples map into the fitted box, so it skips the range check.
+    """
     eq = load_design_equations()[str(kind)]
     space = canonical_space()
-
-    def fn(u: np.ndarray) -> np.ndarray:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ExtrapolationWarning)
-            return np.asarray(eq.evaluate(map_to_space(u, space), n_terms), dtype=float)
-
-    return ModelFunction(n_dims=5, fn=fn, name=f"design-{kind}" + ("" if n_terms is None else f"@{n_terms}"))
+    return ModelFunction(5, lambda u: eq.partial_sums(map_to_space(u, space))[-1], name=f"design-{kind}")
 
 
 def scaled_l2_error(
@@ -256,26 +252,17 @@ class TruncationCurve:
         }
 
 
-def truncation_curve(kind: str, samples: SampleSet) -> TruncationCurve:
-    """Error-vs-terms curve for one design equation against the
-    transfer-matrix objective of the same kind.
+def truncation_curve(exact: ModelFunction, kind: str, samples: SampleSet) -> TruncationCurve:
+    """Error-vs-terms curve for one design equation against ``exact``.
 
-    The exact responses are computed once; each truncation level only
-    re-evaluates the cheap surrogate.
+    ``exact`` is evaluated once and one :meth:`DesignEquation.partial_sums`
+    pass gives every truncation level, so the last entry is the
+    :func:`scaled_l2_error` of :func:`design_model` on the same samples.
     """
-    from .crystal import objective_model  # per call: perfbench/spans.py rebinds it
-
-    eq = load_design_equations()[str(kind)]
-    y = _evaluate(objective_model(kind), samples.original)
+    y = _evaluate(exact, samples.original)
     pts = map_to_space(samples.original, canonical_space())
-    deltas = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ExtrapolationWarning)
-        for k in range(eq.n_terms + 1):
-            deltas.append(_scaled_error(y, np.asarray(eq.evaluate(pts, n_terms=k), dtype=float)))
-    return TruncationCurve(
-        kind=str(kind), deltas=tuple(deltas), n_samples=samples.n_samples, seed=samples.seed
-    )
+    deltas = tuple(_scaled_error(y, row) for row in load_design_equations()[str(kind)].partial_sums(pts))
+    return TruncationCurve(kind=str(kind), deltas=deltas, n_samples=samples.n_samples, seed=samples.seed)
 
 
 def fit_polynomial_surrogate(

@@ -27,6 +27,7 @@ from phonogap.crystal import (
     transit_time,
     wave_speed,
 )
+from phonogap.design import DesignEquation
 from phonogap.sobol import SobolFunctionEstimate, SobolResult
 
 
@@ -181,6 +182,16 @@ def dispersion_reference_rows(omegas: np.ndarray, half_traces: np.ndarray) -> li
         k = "" if in_gap else format(float(np.arccos(np.clip(ht, -1.0, 1.0))), ".17g")
         rows.append([format(float(w), ".17g"), format(float(ht), ".17g"), k, "1" if in_gap else "0"])
     return rows
+
+
+def design_sum_reference(eq: DesignEquation, params: np.ndarray, k: int) -> np.ndarray:
+    """The constant plus the first ``k`` terms of ``eq``, added one term
+    at a time in term order and then scaled to radial omega_hat."""
+    coords = eq.transform(params)
+    total = np.full(np.atleast_2d(params).shape[0], eq.f0)
+    for term in eq.terms[:k]:
+        total = total + term.evaluate(coords)
+    return total * eq.omega_scale
 
 
 def surface_reference_rows(est: SobolFunctionEstimate) -> list[list[str]]:

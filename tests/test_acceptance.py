@@ -224,7 +224,10 @@ def test_criterion_08_design_equation_fidelity(study_samples):
 
 @pytest.fixture(scope="module")
 def truncation_curves(study_samples):
-    return {kind: truncation_curve(kind, study_samples) for kind in ("SS", "WS", "SP", "WP")}
+    return {
+        kind: truncation_curve(objective_model(kind), kind, study_samples)
+        for kind in ("SS", "WS", "SP", "WP")
+    }
 
 
 def test_criterion_09_truncation_baseline_and_monotonicity(truncation_curves):

@@ -32,6 +32,17 @@ GAP_FREE_SPACE = ParameterSpace(
 )
 
 
+# Layers after a unit reference layer; each id names what leaves the float range.
+CELLS_BEYOND_THE_FLOAT_RANGE = {
+    "h-nan": '{"h": NaN, "rho": 20, "e": 100, "nu": 0.3}, {"h": 0.7, "rho": 5, "e": 30, "nu": 0.1}',
+    "rho-infinity": '{"h": 0.5, "rho": Infinity, "e": 100, "nu": 0.3}, {"h": 0.7, "rho": 5, "e": 30, "nu": 0.1}',
+    "e-overflows": '{"h": 0.5, "rho": 20, "e": 1e400, "nu": 0.3}, {"h": 0.7, "rho": 5, "e": 30, "nu": 0.1}',
+    "h-sum-overflows": '{"h": 1.5e308, "rho": 20, "e": 100, "nu": 0.3}, {"h": 1.5e308, "rho": 5, "e": 30, "nu": 0.1}',
+    "speed-underflows": '{"h": 1, "rho": 1e300, "e": 1e-300, "nu": 0.2}',
+    "speed-overflows": '{"h": 1, "rho": 1e-300, "e": 1e300, "nu": 0.2}, {"h": 1, "rho": 3, "e": 30, "nu": 0.1}',
+}
+
+
 @pytest.fixture()
 def reference_cell_file(tmp_path):
     path = tmp_path / "cell.json"
@@ -101,6 +112,29 @@ class TestDispersionCommand:
         assert code == 2
         assert "malformed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "layers, options",
+        [
+            (
+                '{"h": 2, "rho": 2, "e": 1000, "nu": 0.2}, {"h": 1, "rho": 3, "e": 30, "nu": 0.1}',
+                ["--omega-max", "1e308", "--n-points", "3"],
+            ),
+            (
+                '{"h": 1, "rho": 1e160, "e": 1e160, "nu": 0.2}, {"h": 1, "rho": 1e-160, "e": 1e-160, "nu": 0.1}',
+                [],
+            ),
+        ],
+        ids=["omega-max-overflows", "impedance-product-overflows"],
+    )
+    def test_non_finite_half_trace_exits_1(self, tmp_path, capsys, layers, options):
+        path = tmp_path / "cell.json"
+        path.write_text('{"layers": [{"h": 1, "rho": 1, "e": 1, "nu": 0.2}, ' + layers + "]}")
+        assert main(["dispersion", "--cell", str(path), "--out", str(tmp_path), *options]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: non-finite half trace at sample 0: [")
+        assert err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["cell.json"]
+
     def test_json_format(self, tmp_path, reference_cell_file):
         code = main(
             ["dispersion", "--cell", str(reference_cell_file), "--out", str(tmp_path),
@@ -122,22 +156,20 @@ class TestBandgapCommand:
         assert gap["width"] == pytest.approx(gap["end"] - gap["start"], rel=1e-15)
 
     @pytest.mark.parametrize(
-        "layers",
+        "command, layers",
         [
-            '{"h": NaN, "rho": 20, "e": 100, "nu": 0.3}, {"h": 0.7, "rho": 5, "e": 30, "nu": 0.1}',
-            '{"h": 0.5, "rho": Infinity, "e": 100, "nu": 0.3}, {"h": 0.7, "rho": 5, "e": 30, "nu": 0.1}',
-            '{"h": 0.5, "rho": 20, "e": 1e400, "nu": 0.3}, {"h": 0.7, "rho": 5, "e": 30, "nu": 0.1}',
-            '{"h": 1.5e308, "rho": 20, "e": 100, "nu": 0.3}, {"h": 1.5e308, "rho": 5, "e": 30, "nu": 0.1}',
+            pytest.param(command, layers, id=name if command == "bandgap" else f"{name}-{command}")
+            for name, layers in CELLS_BEYOND_THE_FLOAT_RANGE.items()
+            for command in ("bandgap", "dispersion")
         ],
-        ids=["h-nan", "rho-infinity", "e-overflows", "h-sum-overflows"],
     )
-    def test_cell_beyond_the_float_range_exits_2(self, tmp_path, capsys, layers):
+    def test_cell_beyond_the_float_range_exits_2(self, tmp_path, capsys, command, layers):
         path = tmp_path / "cell.json"
         path.write_text('{"layers": [{"h": 1, "rho": 1, "e": 1, "nu": 0.2}, ' + layers + "]}")
-        assert main(["bandgap", "--cell", str(path), "--out", str(tmp_path)]) == 2
+        assert main([command, "--cell", str(path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: malformed cell file") and "Traceback" not in err
-        assert not (tmp_path / "bandgap_summary.json").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["cell.json"]
 
 
 class TestSobolCommand:

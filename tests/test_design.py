@@ -7,6 +7,8 @@ from phonogap.crystal import objective, objective_model
 from phonogap.design import (
     KINDS,
     ExtrapolationWarning,
+    FittedTerm,
+    _scaled_error,
     design_model,
     fit_polynomial_surrogate,
     load_design_equations,
@@ -14,12 +16,22 @@ from phonogap.design import (
     to_hertz,
     truncation_curve,
 )
-from phonogap.sampling import lhs_sample
-from phonogap.sobol import ModelFunction, estimate_sobol_function_1d
+from phonogap.sampling import canonical_space, lhs_sample, map_to_space
+from phonogap.sobol import ModelFunction, _evaluate, estimate_sobol_function_1d
+
+from oracles import design_sum_reference
 
 TWO_PI = 2.0 * math.pi
 
 REFERENCE_PARAMS = np.array([1000.0, 2.0, 2.0, 0.2, 0.2])
+OUTSIDE_PARAMS = np.array([5.0, 2.0, 2.0, 0.2, 0.2])  # E2/E1 below the fitted box
+
+
+def truncated_design_model(kind, k):
+    """The constant plus the first ``k`` terms of one design equation, as a
+    unit-hypercube model."""
+    eq = load_design_equations()[kind]
+    return ModelFunction(5, lambda u: eq.partial_sums(map_to_space(u, canonical_space()))[k])
 
 # Term values recomputed by hand from the printed formulas at fixed
 # transformed coordinates: single-input terms at (-0.5, 0.8, 2.0),
@@ -115,7 +127,7 @@ class TestCoefficientTables:
 
 class TestEvaluation:
     def test_constant_only_truncation(self):
-        value = load_design_equations()["WP"].evaluate(REFERENCE_PARAMS, n_terms=0)
+        value = load_design_equations()["WP"].partial_sums(REFERENCE_PARAMS)[0, 0]
         assert value == pytest.approx(1.0021 * TWO_PI, rel=1e-12)
 
     def test_prediction_near_solver_at_reference_cell(self):
@@ -137,10 +149,10 @@ class TestEvaluation:
         assert values[0] == values[1]
 
     def test_extrapolation_warns_but_returns(self):
-        outside = np.array([5.0, 2.0, 2.0, 0.2, 0.2])
-        with pytest.warns(ExtrapolationWarning):
-            value = load_design_equations()["SS"].evaluate(outside)
+        with pytest.warns(ExtrapolationWarning) as record:
+            value = load_design_equations()["SS"].evaluate(OUTSIDE_PARAMS)
         assert np.isfinite(value)
+        assert record[0].filename == __file__  # the warning points at the caller
 
     def test_unknown_kind(self):
         with pytest.raises(KeyError):
@@ -156,8 +168,6 @@ class TestScaledL2Error:
     def test_sample_mean_surrogate_scores_one(self):
         samples = lhs_sample(5, 400, 3)
         exact = design_model("SS")
-        from phonogap.sobol import _evaluate
-
         mean = float(np.mean(_evaluate(exact, samples.original)))
         const = ModelFunction(5, lambda u: np.full(u.shape[0], mean), name="mean")
         assert scaled_l2_error(exact, const, samples) == pytest.approx(1.0, abs=1e-12)
@@ -165,7 +175,7 @@ class TestScaledL2Error:
     def test_shift_invariance(self):
         samples = lhs_sample(5, 300, 4)
         exact = design_model("SS")
-        surrogate = design_model("SS", n_terms=1)
+        surrogate = truncated_design_model("SS", 1)
         base = scaled_l2_error(exact, surrogate, samples)
         shift = 17.5
         exact_shifted = ModelFunction(5, lambda u: exact.fn(u) + shift, name="e+c")
@@ -181,18 +191,66 @@ class TestScaledL2Error:
 
     def test_nonnegative(self):
         samples = lhs_sample(5, 300, 6)
-        assert scaled_l2_error(design_model("WS"), design_model("WS", n_terms=2), samples) >= 0.0
+        assert scaled_l2_error(design_model("WS"), truncated_design_model("WS", 2), samples) >= 0.0
 
 
 class TestTruncationCurve:
     def test_reference_kind_quickly(self):
         samples = lhs_sample(5, 400, 7)
-        curve = truncation_curve("SS", samples)
+        curve = truncation_curve(objective_model("SS"), "SS", samples)
         assert len(curve.deltas) == 4
         assert curve.deltas[0] == pytest.approx(1.0, abs=0.02)
         assert curve.deltas[-1] < 0.05
         payload = curve.to_json_dict()
         assert payload["kind"] == "SS" and len(payload["delta_by_k"]) == 4
+
+
+class TestPartialSums:
+    """One pass gives every truncation level, bit for bit as the term loop."""
+
+    @pytest.fixture(scope="class")
+    def samples(self):
+        return lhs_sample(5, 500, 20)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rows_match_the_term_loop(self, kind, samples):
+        eq = load_design_equations()[kind]
+        inside = map_to_space(samples.original, canonical_space())
+        for pts in (inside, OUTSIDE_PARAMS[None, :]):
+            rows = eq.partial_sums(pts)
+            assert rows.shape == (len(eq.terms) + 1, pts.shape[0])
+            for k in range(len(eq.terms) + 1):
+                assert np.array_equal(rows[k], design_sum_reference(eq, pts, k)), k
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_truncation_curve_scores_each_level(self, kind, samples):
+        eq = load_design_equations()[kind]
+        exact = objective_model(kind)
+        curve = truncation_curve(exact, kind, samples)
+        y = _evaluate(exact, samples.original)
+        pts = map_to_space(samples.original, canonical_space())
+        assert len(curve.deltas) == len(eq.terms) + 1
+        for k, delta in enumerate(curve.deltas):
+            assert delta == _scaled_error(y, design_sum_reference(eq, pts, k)), k
+        assert curve.deltas[-1] == scaled_l2_error(exact, design_model(kind), samples)
+
+    def test_truncation_curve_evaluates_each_term_once(self, samples, monkeypatch):
+        calls = []
+        evaluate = FittedTerm.evaluate
+
+        def counted(term, coords):
+            calls.append(term)
+            return evaluate(term, coords)
+
+        monkeypatch.setattr(FittedTerm, "evaluate", counted)
+        truncation_curve(objective_model("WP"), "WP", samples)
+        assert calls == list(load_design_equations()["WP"].terms)
+
+    def test_evaluate_is_the_last_row(self):
+        eq = load_design_equations()["SP"]
+        pts = np.vstack([REFERENCE_PARAMS, 0.5 * REFERENCE_PARAMS])
+        assert np.array_equal(eq.evaluate(pts), eq.partial_sums(pts)[-1])
+        assert eq.evaluate(REFERENCE_PARAMS) == eq.partial_sums(REFERENCE_PARAMS)[-1, 0]
 
 
 class TestPolynomialSurrogateFit:
