@@ -54,7 +54,6 @@ from .design import (
     fit_polynomial_surrogate,
     load_design_equations,
     scaled_l2_error,
-    to_hertz,
     truncation_curve,
 )
 

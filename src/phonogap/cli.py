@@ -5,8 +5,10 @@ Every command is reproducible: identical configuration and seed yield
 byte-identical output files.  ``--threads`` is accepted and has no
 effect: every model evaluation runs in one thread.
 Exit codes: 0 success, 1 numerical failure (a gap-free cell where a gap
-is required, or a gap the general scan cannot close), 2 configuration
-errors, an output path that cannot be written among them.
+is required, a sampled cell whose wave speed or impedance leaves the
+float range, a gap the general scan cannot close, or a non-finite
+dispersion half trace), 2 configuration errors, an output path that
+cannot be written among them.
 """
 from __future__ import annotations
 

@@ -33,9 +33,11 @@ contrast, and at twice that frequency it is at least 1.  So the first gap
 starts at the only root of ``ht + 1`` in ``(0, pi/tau)`` and ends at the
 only root in ``(pi/tau, 2 pi/tau)``; :func:`bilayer_first_gaps` solves
 both brackets for many cells at once by Newton steps kept inside them,
-down to a rounding-level residual.  Stacks of three or more layers
-have no such bracket, but the same oscillation theorem holds for any
-stack of layers with piecewise-constant properties: inside a gap the half
+down to a rounding-level residual.  Each edge depends on its own bracket
+alone, so the start objectives solve only the start brackets and get the
+same bits.  Stacks of three or more layers have no such bracket, but the
+same oscillation theorem holds for any stack of layers with
+piecewise-constant properties: inside a gap the half
 trace keeps one sign, and across each band it runs monotonically from
 one sign to the other.  A grid scan takes the sign at its first gap
 sample and ends the gap at the first later sample that is not beyond one
@@ -287,7 +289,10 @@ def _bilayer_coefficients(
 
     ``a`` and ``b`` are the layer transit times, so ``a + b`` is the cell
     transit time, and the half trace is
-    ``p cos((a - b) w) + q cos((a + b) w)`` (:func:`_bilayer_ht`).
+    ``p cos((a - b) w) + q cos((a + b) w)`` (:func:`_bilayer_ht`).  A row
+    whose layer-2 wave speed or impedance is zero or beyond the float
+    range has no finite coefficients: the first such row raises
+    :class:`ModelEvaluationError` with its index and point.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 5:
@@ -298,13 +303,21 @@ def _bilayer_coefficients(
             f"two-layer points need positive ratios and Poisson's ratios in [0, {NU_CAP}]"
         )
     e2, rho2, h2_h1, nu1, nu2 = pts.T
-    c1 = np.sqrt(_modulus(1.0, nu1, pol))  # layer 1 is the reference: unit density
-    c2 = np.sqrt(_modulus(e2, nu2, pol) / rho2)
-    h1 = 1.0 / (1.0 + h2_h1)
-    h2 = h2_h1 / (1.0 + h2_h1)
-    a, b = h1 / c1, h2 / c2
-    z2 = rho2 * c2  # z1 = c1
-    zbar = 0.5 * (c1 / z2 + z2 / c1)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        c1 = np.sqrt(_modulus(1.0, nu1, pol))  # layer 1 is the reference: unit density
+        c2 = np.sqrt(_modulus(e2, nu2, pol) / rho2)
+        h1 = 1.0 / (1.0 + h2_h1)
+        h2 = h2_h1 / (1.0 + h2_h1)
+        a, b = h1 / c1, h2 / c2
+        z2 = rho2 * c2  # z1 = c1
+        zbar = 0.5 * (c1 / z2 + z2 / c1)
+    # a zero or overflowed speed makes b or zbar infinite, an overflowed
+    # impedance makes zbar infinite
+    bad = ~(np.isfinite(zbar) & np.isfinite(b))
+    if bad.any():
+        r = int(np.argmax(bad))
+        message = f"{pol.value}-wave speed or impedance of layer 2 is zero or beyond the float range"
+        raise ModelEvaluationError(r, pts[r], message)
     return 0.5 * (1.0 - zbar), 0.5 * (1.0 + zbar), a - b, a + b
 
 
@@ -491,6 +504,54 @@ def _refine_edges(
     return (0.5 * (lo + hi)).tolist()
 
 
+def _newton_roots(
+    coeffs: tuple[np.ndarray, ...], inner: np.ndarray, outer: np.ndarray
+) -> np.ndarray:
+    """The root of ``f = ht + 1`` between ``outer`` and ``inner`` for each
+    bracket, by the safeguarded Newton iteration of
+    :func:`bilayer_first_gaps`; ``coeffs`` hold one row per bracket, and
+    ``f > 0`` at ``outer``, ``f < 0`` at ``inner``."""
+    w = 0.5 * (outer + inner)
+    tol = 4.0 * np.finfo(float).eps * (np.abs(coeffs[0]) + coeffs[1] + 1.0)
+    todo = np.arange(w.size)
+    found = np.empty(w.size)
+    for _ in range(_SOLVER_STEPS_MAX):
+        ht, slope = _bilayer_ht_slope(coeffs, w)
+        f = ht + 1.0
+        positive = f > 0.0
+        outer = np.where(positive, w, outer)
+        inner = np.where(positive, inner, w)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = w - f / slope
+        inside = (np.minimum(outer, inner) < newton) & (newton < np.maximum(outer, inner))
+        step = np.where(inside, newton, 0.5 * (outer + inner))
+        found[todo] = w
+        going = (np.abs(f) > tol) & (step != w)
+        if not going.any():
+            break
+        todo, w, outer, inner, tol = todo[going], step[going], outer[going], inner[going], tol[going]
+        coeffs = tuple(c[going] for c in coeffs)
+    return found
+
+
+def _bilayer_edges(points: np.ndarray, pol: Polarization, n_edges: int) -> np.ndarray:
+    """The first ``n_edges`` edges of every row's first gap, the start and
+    then the end, as an ``(n_edges, m)`` array with NaN for gap-free rows;
+    only the brackets of those edges are solved."""
+    coeffs = _bilayer_coefficients(points, pol)
+    bragg = np.pi / coeffs[3]
+    has_gap = _bilayer_ht(coeffs, bragg) + 1.0 < -_GAP_GUARD
+    # one bracket per edge of every gapped row, the starts before the ends;
+    # ht + 1 > 0 at `outer` and < 0 at `inner` (the Bragg frequency)
+    gapped = np.flatnonzero(has_gap)
+    rows = np.tile(gapped, n_edges)
+    outer = np.concatenate([np.zeros(gapped.size), 2.0 * bragg[gapped]][:n_edges])
+    edges = np.full((n_edges, len(bragg)), np.nan)
+    found = _newton_roots(tuple(c[rows] for c in coeffs), bragg[rows], outer)
+    edges[:, has_gap] = found.reshape(n_edges, -1)
+    return edges
+
+
 def bilayer_first_gaps(
     points: np.ndarray, pol: Polarization | str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -511,42 +572,12 @@ def bilayer_first_gaps(
     Newton point where that lies strictly inside the bracket, else the
     bracket midpoint.  An edge is final once ``|f| <= 4 eps (|p| + q + 1)``,
     the rounding level of ``f``, or once its step no longer moves it.  A
-    final edge is set aside, so a row's edges depend on that row alone and
-    any split of the rows into batches gives bit-identical results.
+    final edge is set aside, so an edge depends on its own bracket alone:
+    any split of the rows into batches, or a solve of the start brackets
+    alone (as the start objectives do), gives bit-identical edges.
     """
-    coeffs = _bilayer_coefficients(points, Polarization(pol))
-    bragg = np.pi / coeffs[3]
-    has_gap = _bilayer_ht(coeffs, bragg) + 1.0 < -_GAP_GUARD
-    # one bracket per edge of every gapped row, the starts before the ends;
-    # ht + 1 > 0 at `outer` and < 0 at `inner` (the Bragg frequency)
-    gapped = np.flatnonzero(has_gap)
-    rows = np.concatenate([gapped, gapped])
-    coeffs = tuple(c[rows] for c in coeffs)
-    inner = bragg[rows]
-    outer = np.concatenate([np.zeros(gapped.size), 2.0 * bragg[gapped]])
-    w = 0.5 * (outer + inner)
-    tol = 4.0 * np.finfo(float).eps * (np.abs(coeffs[0]) + coeffs[1] + 1.0)
-    todo = np.arange(rows.size)
-    found = np.empty(rows.size)
-    for _ in range(_SOLVER_STEPS_MAX):
-        ht, slope = _bilayer_ht_slope(coeffs, w)
-        f = ht + 1.0
-        positive = f > 0.0
-        outer = np.where(positive, w, outer)
-        inner = np.where(positive, inner, w)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = w - f / slope
-        inside = (np.minimum(outer, inner) < newton) & (newton < np.maximum(outer, inner))
-        step = np.where(inside, newton, 0.5 * (outer + inner))
-        found[todo] = w
-        going = (np.abs(f) > tol) & (step != w)
-        if not going.any():
-            break
-        todo, w, outer, inner, tol = todo[going], step[going], outer[going], inner[going], tol[going]
-        coeffs = tuple(c[going] for c in coeffs)
-    edges = np.full((2, len(bragg)), np.nan)
-    edges[:, has_gap] = found.reshape(2, -1)
-    return edges[0], edges[1]
+    start, end = _bilayer_edges(points, Polarization(pol), 2)
+    return start, end
 
 
 def _scan_first_gap(cell: UnitCell, pol: Polarization) -> BandGap | None:
@@ -635,9 +666,12 @@ def first_band_gap(cell: UnitCell, pol: Polarization | str) -> BandGap | None:
 
 
 def _objective_values(points: np.ndarray, kind: ObjectiveKind) -> np.ndarray:
-    """Objective of every row; NaN where the cell has no gap."""
-    start, end = bilayer_first_gaps(points, kind.polarization)
-    return end - start if kind.is_width else start
+    """Objective of every row; NaN where the cell has no gap.  A start
+    objective solves only the start brackets."""
+    if kind.is_width:
+        start, end = bilayer_first_gaps(points, kind.polarization)
+        return end - start
+    return _bilayer_edges(points, kind.polarization, 1)[0]
 
 
 def objective(params: Sequence[float], kind: ObjectiveKind | str) -> float:

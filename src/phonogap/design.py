@@ -40,7 +40,6 @@ __all__ = [
     "scaled_l2_error",
     "truncation_curve",
     "fit_polynomial_surrogate",
-    "to_hertz",
 ]
 
 KINDS = tuple(kind.value for kind in ObjectiveKind)
@@ -294,14 +293,3 @@ def fit_polynomial_surrogate(
     residual = float(np.linalg.norm(y - design @ coeffs))
     return coeffs, residual
 
-
-def to_hertz(omega_hat: float, cell_height: float, rho1: float, e1: float) -> float:
-    """Dimensionless radial frequency -> Hz for a dimensional build.
-
-    The reference time is ``cell_height * sqrt(rho1 / e1)``; dividing
-    the cycle count per reference time by it gives Hertz.
-    """
-    if min(cell_height, rho1, e1) <= 0:
-        raise ValueError("cell height, density and modulus must be positive")
-    t_ref = cell_height * math.sqrt(rho1 / e1)
-    return omega_hat / (2.0 * math.pi * t_ref)

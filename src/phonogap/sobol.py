@@ -2,17 +2,24 @@
 
 The engine estimates the mean, total variance, first- and second-order
 partial variances and indices of any pure model function on the unit
-hypercube, using the classic freeze-and-resample scheme on a paired
-(original, complementary) Latin Hypercube sample::
+hypercube by freezing and resampling on a paired (original,
+complementary) Latin Hypercube sample.  With ``y = F(x_m)`` and ``y_u``
+the model on the rows that take the coordinates ``u`` from the original
+matrix and every other coordinate from the complementary one::
 
-    f0   = (1/N) sum_m F(x_m)
-    D    = (1/N) sum_m F(x_m)^2                     - f0^2
-    D_i  = (1/N) sum_m F(x_m) F(x_im, x~im^c)       - f0^2
-    D_ij = (1/N) sum_m F(x_m) F(x_im, x_jm, x~ijm^c) - D_i - D_j - f0^2
+    f0    = mean(y)
+    D     = mean(y^2) - f0^2
+    m_u   = mean((y + y_u)/2)
+    S_u^c = (mean(y y_u) - m_u^2) / (mean((y^2 + y_u^2)/2) - m_u^2)
+    S_i   = S_i^c,   S_ij = S_ij^c - S_i - S_j,   D_u = S_u D
 
-where ``x~im^c`` takes every coordinate except ``i`` from the
-complementary matrix, row-aligned with the original.  Small negative
-estimates are Monte Carlo noise and are reported raw.
+The closed index ``S_u^c`` is the symmetric estimator of Janon, Klein,
+Lagnoux, Nodet & Prieur (2014, *ESAIM: Probab. Stat.* 18, 342).  It
+estimates the same indices as the paper's classic form
+``D_i = mean(y y_i) - f0^2``, from the same model evaluations, but it
+pools both matrices for its mean and variance, and its spread is far
+smaller for dominant indices.  Small negative estimates are Monte Carlo
+noise and are reported raw.
 
 All ``1 + d + d(d-1)/2`` matrices of a study are stacked and evaluated
 in one model call.
@@ -198,9 +205,11 @@ def sobol_indices(
     """Full study: mean, total variance, first- and second-order partial variances.
 
     The original matrix and every mixed matrix are stacked and evaluated
-    in one model call, so the stored indices are mutually consistent
-    (``S = D / total_variance`` exactly as stored).  A failing row is
-    reported by its index within its own ``N``-row matrix.
+    in one model call.  Each index comes from Janon's symmetric estimator
+    (module docstring); the stored partial variances are the indices times
+    the total variance, so ``S = D / total_variance`` holds exactly as
+    stored.  A failing row is reported by its index within its own
+    ``N``-row matrix.
     """
     _check_dims(model, samples)
     n = samples.n_dims
@@ -211,19 +220,22 @@ def sobol_indices(
         blocks = _evaluate(model, stacked).reshape(-1, samples.n_samples)
     except ModelEvaluationError as err:
         raise ModelEvaluationError(err.index % samples.n_samples, err.point, err.message) from err
-    y = blocks[0]
+    y, mixed = blocks[0], blocks[1:]
     f0 = float(np.mean(y))
     d_total = max(float(np.mean(y * y) - f0 * f0), 0.0)
     if d_total == 0.0:
         raise ValueError("zero total variance: the model is constant on this sample set")
 
-    d_first = np.empty(n)
-    for i in range(n):
-        d_first[i] = np.mean(y * blocks[1 + i]) - f0 * f0
-
-    d_second = np.zeros((n, n))
+    # Janon's symmetric estimate of each block's closed index
+    m = np.mean(0.5 * (y + mixed), axis=1)
+    closed = (np.mean(y * mixed, axis=1) - m * m) / (
+        np.mean(0.5 * (y * y + mixed * mixed), axis=1) - m * m
+    )
+    s_first = closed[:n]
+    s_second = np.zeros((n, n))
     for k, (i, j) in enumerate(pairs):
-        d_second[i, j] = np.mean(y * blocks[1 + n + k]) - d_first[i] - d_first[j] - f0 * f0
+        s_second[i, j] = closed[n + k] - s_first[i] - s_first[j]
+    d_first, d_second = s_first * d_total, s_second * d_total
 
     return SobolResult(
         model=model.name,

@@ -2,14 +2,15 @@
 
 These deliberately avoid the production fast paths: the layer matrix is
 rebuilt from the sinusoid/stress coefficient matrices and a numerical
-inverse, the gap finder walks a ten-times-finer grid with scipy
-refinement, and half traces always go through the matrix product.
+inverse, half traces multiply those layer matrices and share no kernel
+with the solver, and the gap finder walks a ten-times-finer grid with
+scipy refinement.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -23,39 +24,49 @@ from phonogap.crystal import (
     UnitCell,
     _bilayer_coefficients,
     _bilayer_ht,
-    cell_transfer_matrix,
     transit_time,
     wave_speed,
 )
 from phonogap.design import DesignEquation
-from phonogap.sobol import SobolFunctionEstimate, SobolResult
+from phonogap.sampling import SampleSet
+from phonogap.sobol import ModelFunction, SobolFunctionEstimate, SobolResult
 
 
-def state_matrix(layer: Layer, z_hat: float, omega_hat: float, pol: Polarization) -> np.ndarray:
+def state_matrix(layer: Layer, z_hat: float, omega_hat, pol: Polarization) -> np.ndarray:
     """Coefficient matrix mapping sinusoid amplitudes to (displacement,
-    stress) at depth z within the layer."""
+    stress) at depth z within the layer; ``(..., 2, 2)`` for an array of
+    frequencies."""
     c = wave_speed(layer, pol)
     m = layer.modulus(pol)
-    arg = omega_hat * z_hat / c
-    k = m * omega_hat / c
-    return np.array(
+    w = np.asarray(omega_hat, dtype=float)
+    arg = w * z_hat / c
+    k = m * w / c
+    return np.stack(
         [
-            [math.sin(arg), math.cos(arg)],
-            [k * math.cos(arg), -k * math.sin(arg)],
-        ]
+            np.stack([np.sin(arg), np.cos(arg)], axis=-1),
+            np.stack([k * np.cos(arg), -k * np.sin(arg)], axis=-1),
+        ],
+        axis=-2,
     )
 
 
-def layer_matrix_oracle(layer: Layer, omega_hat: float, pol: Polarization) -> np.ndarray:
-    """Propagator as state_matrix(h) @ inv(state_matrix(0))."""
+def layer_matrix_oracle(layer: Layer, omega_hat, pol: Polarization) -> np.ndarray:
+    """Propagator as state_matrix(h) @ inv(state_matrix(0)), the inverse
+    as adjugate over determinant."""
     top = state_matrix(layer, layer.h_hat, omega_hat, pol)
     bottom = state_matrix(layer, 0.0, omega_hat, pol)
-    return top @ np.linalg.inv(bottom)
+    a, b, c, d = bottom[..., 0, 0], bottom[..., 0, 1], bottom[..., 1, 0], bottom[..., 1, 1]
+    adjugate = np.stack([np.stack([d, -b], axis=-1), np.stack([-c, a], axis=-1)], axis=-2)
+    return top @ (adjugate / np.asarray(a * d - b * c)[..., None, None])
 
 
-def half_trace_matrix(cell: UnitCell, omega_hat: float, pol: Polarization) -> float:
-    t = cell_transfer_matrix(cell, omega_hat, pol)
-    return 0.5 * (t[0, 0] + t[1, 1])
+def half_trace_matrix(cell: UnitCell, omega_hat, pol: Polarization):
+    """Half trace of the product of the oracle layer matrices, first layer
+    rightmost; an array for an array of frequencies."""
+    t = np.eye(2)
+    for layer in cell.layers:
+        t = layer_matrix_oracle(layer, omega_hat, pol) @ t
+    return 0.5 * (t[..., 0, 0] + t[..., 1, 1])
 
 
 def brute_force_first_gap(
@@ -69,36 +80,40 @@ def brute_force_first_gap(
     Walks a grid ten times finer than the production default, refines
     edges with brentq and checks every local minimum of |half_trace|
     with bounded scalar minimization so narrow passbands are honored.
+    The walk reads the grid samples in order; they are evaluated 256 at a
+    time.
     """
     tau = transit_time(cell, pol)
     step = math.pi / (resolution * tau)
     n_cap = int(8.0 * math.pi / tau / step * cap_factor / 8.0)
 
-    def g(w: float) -> float:
-        return abs(half_trace_matrix(cell, w, pol)) - 1.0
+    def g(w):
+        return np.abs(half_trace_matrix(cell, w, pol)) - 1.0
 
+    def grid_values() -> Iterator[float]:
+        """g at the grid samples 1, 2, ..."""
+        for k in itertools.count(1, 256):
+            yield from g(step * np.arange(k, k + 256)).tolist()
+
+    samples = grid_values()
     start = None
-    k = 1
-    prev = 0.0
-    while k <= n_cap:
-        val = g(step * k)
+    for k in range(1, n_cap + 1):
+        val = next(samples)
         if val > 1e-12:
             lo = step * (k - 1) if k > 1 else step * 1e-6
             start = brentq(g, lo, step * k, xtol=1e-12)
             break
-        prev = val
-        k += 1
     if start is None:
         return None
 
-    values = [g(step * k)]
+    values = [val]
     positions = [step * k]
     m = k + 1
     while True:
         if m > 8 * n_cap:
             raise RuntimeError("oracle did not find the gap end")
         w = step * m
-        val = g(w)
+        val = next(samples)
         values.append(val)
         positions.append(w)
         if val <= 1e-12:
@@ -216,6 +231,58 @@ def index_reference_rows(result: SobolResult) -> list[list[str]]:
         fields = (result.second_order[i, j], result.second_order_indices[i, j])
         rows.append([f"{names[i]}|{names[j]}", "2", *(format(float(x), ".17g") for x in fields)])
     return rows
+
+
+def mixed_blocks(model: ModelFunction, samples: SampleSet) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``f(A)`` and the mixed blocks, one model call per matrix: the block
+    of each dimension ``i`` and then of each pair ``i < j``, taking those
+    columns from the original matrix ``A`` and the rest from the
+    complementary one."""
+    n = samples.n_dims
+    frozen_sets = [[i] for i in range(n)] + [list(p) for p in itertools.combinations(range(n), 2)]
+    blocks = []
+    for frozen in frozen_sets:
+        matrix = samples.complementary.copy()
+        matrix[:, frozen] = samples.original[:, frozen]
+        blocks.append(model.fn(matrix))
+    return model.fn(samples.original), blocks
+
+
+def _indices_from_closed(n: int, closed: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    first = np.array(closed[:n])
+    second = np.zeros((n, n))
+    for k, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+        second[i, j] = closed[n + k] - first[i] - first[j]
+    return first, second
+
+
+def classic_sobol_indices(model: ModelFunction, samples: SampleSet) -> tuple[np.ndarray, np.ndarray]:
+    """First- and second-order indices by the paper's classic estimator:
+    ``D_u^c = mean(y y_u) - f0^2`` over ``D = mean(y^2) - f0^2`` for the
+    closed index of each block, ``S_ij = S_ij^c - S_i - S_j``."""
+    y, blocks = mixed_blocks(model, samples)
+    f0 = np.mean(y)
+    d_total = np.mean(y * y) - f0 * f0
+    return _indices_from_closed(
+        samples.n_dims, [(np.mean(y * b) - f0 * f0) / d_total for b in blocks]
+    )
+
+
+def janon_sobol_indices(model: ModelFunction, samples: SampleSet) -> tuple[np.ndarray, np.ndarray]:
+    """First- and second-order indices by Janon's symmetric estimator, one
+    block at a time, every mean an exactly rounded ``math.fsum``:
+    ``S_u^c = (mean(y y_u) - m^2) / (mean((y^2 + y_u^2)/2) - m^2)`` with
+    ``m = mean((y + y_u)/2)``, and ``S_ij = S_ij^c - S_i - S_j``."""
+    y, blocks = mixed_blocks(model, samples)
+
+    def mean(values: np.ndarray) -> float:
+        return math.fsum(values.tolist()) / len(values)
+
+    closed = []
+    for b in blocks:
+        m = mean((y + b) / 2.0)
+        closed.append((mean(y * b) - m * m) / (mean((y * y + b * b) / 2.0) - m * m))
+    return _indices_from_closed(samples.n_dims, closed)
 
 
 def gauss_legendre(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:

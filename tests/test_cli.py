@@ -518,6 +518,24 @@ class TestExitCodes:
         point = map_to_space(lhs_sample(5, 100, 4).original, GAP_FREE_SPACE)[0]
         assert err == f"numerical failure: no first band gap at sample 0: {point.tolist()}\n"
 
+    def test_non_finite_bilayer_speed_exits_1(self, tmp_path, capsys):
+        # rows with E2/rho2 beyond the float range overflow the layer-2 wave speed
+        dims = list(canonical_space().dims)
+        dims[0] = dataclasses.replace(dims[0], lower=10.0, upper=1e300)
+        dims[1] = dataclasses.replace(dims[1], lower=1e-300, upper=100.0)
+        space_file = tmp_path / "space.json"
+        space_file.write_text(ParameterSpace(tuple(dims)).to_json())
+        code = main(
+            ["sobol", "--target", "SS", "--n", "100", "--space", str(space_file), "--out", str(tmp_path)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        prefix = "numerical failure: S-wave speed or impedance of layer 2 is zero or beyond the float range"
+        assert err.startswith(prefix + " at sample ") and err.count("\n") == 1
+        point = json.loads(err.split(": ", 2)[2])
+        assert point[0] / point[1] > 1e308
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["space.json"]
+
     def test_gap_free_design_point_exits_1(self, tmp_path, capsys, monkeypatch):
         # the design command always samples the canonical space, where every
         # cell has a gap; only a patched space reaches the failure

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import phonogap.crystal as crystal
 from phonogap.crystal import (
     NU_CAP,
     BandGap,
@@ -45,6 +46,17 @@ from oracles import (
 )
 
 REFERENCE_CELL = two_layer_cell(1000.0, 2.0, 2.0, 0.2, 0.2)
+
+
+def near_homogeneous_points() -> np.ndarray:
+    """2000 two-layer rows with E2/E1 = 1 + 10^-k, k in [1, 6], equal
+    densities and Poisson's ratios: some have a first gap and some not."""
+    rng = np.random.default_rng(11)
+    k = rng.uniform(1.0, 6.0, 2000)
+    nu = rng.uniform(0.0, NU_CAP, 2000)
+    return np.column_stack([1.0 + 10.0**-k, np.ones(2000), rng.uniform(0.1, 10.0, 2000), nu, nu])
+
+
 # a strong-contrast stack whose first S gap spans (0.093, 4.84)
 THREE_LAYER_CELL = UnitCell(
     (Layer(0.36, 1.0, 1.0, 0.2), Layer(0.41, 846.0, 1656.0, 0.2), Layer(0.23, 829.0, 7412.0, 0.2))
@@ -548,12 +560,51 @@ class TestBilayerFirstGaps:
             check(points, rtol=1e-12, atol=0.0)
         # E2/E1 = 1 + 10^-k: the Bragg dip shrinks to the rounding guard and
         # the edges close in on a double root of ht + 1 (1.1e-9 measured)
-        rng = np.random.default_rng(11)
-        k = rng.uniform(1.0, 6.0, 2000)
-        nu = rng.uniform(0.0, NU_CAP, 2000)
-        points = np.column_stack([1.0 + 10.0**-k, np.ones(2000), rng.uniform(0.1, 10.0, 2000), nu, nu])
-        no_gap = check(points, rtol=0.0, atol=1e-8)
+        no_gap = check(near_homogeneous_points(), rtol=0.0, atol=1e-8)
         assert no_gap.any() and not no_gap.all()
+
+    @pytest.mark.parametrize("pol", ["S", "P"])
+    def test_start_objective_solves_the_start_brackets_alone(self, pol):
+        # each edge depends on its own bracket only, so the starts solved
+        # alone are the starts of the two-bracket solve, bit for bit
+        kind = ObjectiveKind(f"S{pol}")
+        corpora = []
+        for seed in range(3):
+            samples = lhs_sample(5, 5000, seed)
+            corpora.append(
+                map_to_space(np.vstack([samples.original, samples.complementary]), canonical_space())
+            )
+        corpora.append(near_homogeneous_points())
+        corpora.append(np.array([[1000.0, 2.0, 2.0, 0.2, 0.2], [1.0, 1.0, 2.0, 0.3, 0.3]]))
+        for points in corpora:
+            start, _ = bilayer_first_gaps(points, pol)
+            alone = crystal._objective_values(points, kind)
+            assert np.array_equal(alone, start, equal_nan=True)
+        assert np.isnan(alone[1]) and not np.isnan(alone[0])
+
+    def test_start_model_solves_half_the_brackets(self, monkeypatch):
+        solved = []
+
+        def counting(coeffs, inner, outer):
+            solved.append(inner.size)
+            return newton_roots(coeffs, inner, outer)
+
+        newton_roots = crystal._newton_roots
+        monkeypatch.setattr(crystal, "_newton_roots", counting)
+        u = lhs_sample(5, 500, 3).original
+        objective_model("SS").fn(u)
+        objective_model("WS").fn(u)
+        assert solved == [500, 1000]
+
+    @pytest.mark.parametrize("pol", ["S", "P"])
+    def test_non_finite_speed_raises_at_its_row(self, pol):
+        # E2/rho2 overflows the layer-2 speed; below the smallest double it
+        # rounds the speed to zero and the transit time to infinity
+        good = [1000.0, 2.0, 2.0, 0.2, 0.2]
+        for bad in ([1e300, 1e-300, 1.0, 0.2, 0.2], [1e-300, 1e100, 1.0, 0.2, 0.2]):
+            with pytest.raises(ModelEvaluationError, match="beyond the float range") as err:
+                bilayer_first_gaps(np.array([good, good, bad, bad]), pol)
+            assert err.value.index == 2 and err.value.point.tolist() == bad
 
     def test_validation(self):
         with pytest.raises(ValueError, match=r"\(m, 5\)"):

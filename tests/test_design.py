@@ -13,7 +13,6 @@ from phonogap.design import (
     fit_polynomial_surrogate,
     load_design_equations,
     scaled_l2_error,
-    to_hertz,
     truncation_curve,
 )
 from phonogap.sampling import canonical_space, lhs_sample, map_to_space
@@ -296,16 +295,3 @@ class TestPolynomialSurrogateFit:
         assert np.all(np.sign(coeffs) == np.sign(table))
         np.testing.assert_allclose(coeffs, table, rtol=0.5)
 
-
-class TestHertzConversion:
-    def test_unit_reference_time(self):
-        assert to_hertz(TWO_PI, 1.0, 1.0, 1.0) == pytest.approx(1.0, rel=1e-12)
-
-    def test_dimensional_example(self):
-        # 1 m cell, 2000 kg/m^3 over 20 GPa: T* = sqrt(2000/2e10) ~ 3.16e-4 s
-        t_ref = 1.0 * math.sqrt(2000.0 / 2e10)
-        assert to_hertz(1.0, 1.0, 2000.0, 2e10) == pytest.approx(1.0 / (TWO_PI * t_ref), rel=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            to_hertz(1.0, 0.0, 1.0, 1.0)

@@ -24,7 +24,15 @@ from phonogap.sobol import (
     sobol_indices,
 )
 
-from oracles import gauss_legendre, index_reference_rows, index_table, surface_reference_rows
+from oracles import (
+    classic_sobol_indices,
+    gauss_legendre,
+    index_reference_rows,
+    index_table,
+    janon_sobol_indices,
+    mixed_blocks,
+    surface_reference_rows,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -168,24 +176,46 @@ class TestSobolIndices:
         np.testing.assert_array_equal(a.second_order, b.second_order)
 
     def test_stacked_evaluation_matches_per_matrix_loop(self):
-        # reference: one model call per matrix, reduced as before stacking
+        # reference: one model call per matrix, each block reduced on its own
+        # by Janon's symmetric form, as the engine reduces the stacked blocks
         s = lhs_sample(3, 300, 8)
-        y = POLY.fn(s.original)
+        y, blocks = mixed_blocks(POLY, s)
         f0 = np.mean(y)
+        d_total = np.mean(y * y) - f0 * f0
 
-        def mixed(*frozen):
-            m = s.complementary.copy()
-            m[:, frozen] = s.original[:, frozen]
-            return POLY.fn(m)
+        def closed(b):
+            m = np.mean(0.5 * (y + b))
+            return (np.mean(y * b) - m * m) / (np.mean(0.5 * (y * y + b * b)) - m * m)
 
-        d1 = [np.mean(y * mixed(i)) - f0 * f0 for i in range(3)]
+        s1 = [closed(b) for b in blocks[:3]]
         r = sobol_indices(POLY, s)
         assert r.f0 == f0
-        assert r.total_variance == np.mean(y * y) - f0 * f0
-        np.testing.assert_array_equal(r.first_order, d1)
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            d_ij = np.mean(y * mixed(i, j)) - d1[i] - d1[j] - f0 * f0
-            assert r.second_order[i, j] == d_ij
+        assert r.total_variance == d_total
+        np.testing.assert_array_equal(r.first_order, np.multiply(s1, d_total))
+        for k, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
+            assert r.second_order[i, j] == (closed(blocks[3 + k]) - s1[i] - s1[j]) * d_total
+
+    @pytest.mark.parametrize("seed", [0, 8, 42])
+    def test_indices_match_the_per_block_reference(self, seed):
+        # exactly rounded means, one block at a time: the engine's vectorized
+        # reductions agree to rounding level
+        s = lhs_sample(3, 2000, seed)
+        first, second = janon_sobol_indices(POLY, s)
+        r = sobol_indices(POLY, s)
+        np.testing.assert_allclose(r.first_order_indices, first, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(r.second_order_indices, second, rtol=0, atol=1e-13)
+
+    def test_dominant_index_spreads_less_than_the_classic_form(self):
+        # f = 10 + x1 + 0.1 x2: S[x1] = 100/101; the classic form subtracts
+        # f0^2 (about 111) from mean(y y_1), so the noise of that mean lands in D_1
+        f = ModelFunction(2, lambda u: 10.0 + u[:, 0] + 0.1 * u[:, 1], name="dominant")
+        janon, classic = [], []
+        for seed in range(20):
+            s = lhs_sample(2, 1000, seed)
+            janon.append(sobol_indices(f, s).first_order_indices[0])
+            classic.append(classic_sobol_indices(f, s)[0][0])
+        assert np.std(janon) < 0.5 * np.std(classic)
+        assert np.mean(janon) == pytest.approx(100.0 / 101.0, abs=0.01)
 
     def test_residual_and_tables(self):
         r = sobol_indices(POLY, lhs_sample(3, 800, 4), dim_names=("x1", "x2", "x3"))
