@@ -35,7 +35,12 @@ only root in ``(pi/tau, 2 pi/tau)``; :func:`bilayer_first_gaps` solves
 both brackets for many cells at once by Newton steps kept inside them,
 down to a rounding-level residual.  Each edge depends on its own bracket
 alone, so the start objectives solve only the start brackets and get the
-same bits.  Stacks of three or more layers have no such bracket, but the
+same bits.  The solver evaluates ``ht + 1`` in half-angle form, from one
+``tan`` per phase (:func:`_bilayer_ht_slope`): numpy's float64 ``tan`` is
+SIMD code, its ``cos`` and ``sin`` scalar libm calls, so two ``tan``
+calls cost less than two of each.  The gap decision,
+:func:`two_layer_half_trace` and the dispersion grid keep the cosine
+form.  Stacks of three or more layers have no such bracket, but the
 same oscillation theorem holds for any stack of layers with
 piecewise-constant properties: inside a gap the half
 trace keeps one sign, and across each band it runs monotonically from
@@ -330,10 +335,18 @@ def _bilayer_ht(coeffs: tuple[np.ndarray, ...], omegas: np.ndarray | float) -> n
 def _bilayer_ht_slope(
     coeffs: tuple[np.ndarray, ...], omegas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The two-layer half trace and its derivative in ``omega``."""
+    """``f = ht + 1`` of two-layer cells and its derivative in ``omega``,
+    in half-angle form: as ``p + q = 1``,
+    ``f = 2 p cos^2((a - b) w/2) + 2 q cos^2((a + b) w/2)``.  With ``u``
+    the tangent of a half phase, ``cos^2 = 1/(1 + u^2)`` and
+    ``sin cos = u/(1 + u^2)``, at most 1/2, so one ``tan`` per phase
+    replaces a ``cos`` and a ``sin`` (numpy's float64 ``tan`` is SIMD
+    code, its ``cos`` and ``sin`` are scalar libm calls)."""
     p, q, diff, tot = coeffs
-    slope = -(p * diff * np.sin(diff * omegas) + q * tot * np.sin(tot * omegas))
-    return _bilayer_ht(coeffs, omegas), slope
+    u, v = np.tan(0.5 * diff * omegas), np.tan(0.5 * tot * omegas)
+    cu, cv = 1.0 / (1.0 + u * u), 1.0 / (1.0 + v * v)
+    slope = -2.0 * (p * diff * (u * cu) + q * tot * (v * cv))
+    return 2.0 * (p * cu + q * cv), slope
 
 
 def _bilayer_point(cell: UnitCell) -> np.ndarray:
@@ -372,29 +385,45 @@ def _ht_grid(cell: UnitCell, pol: Polarization) -> Callable[[np.ndarray], np.nda
 
     Two-layer cells use the closed form; general stacks multiply the 2x2
     propagators.  Both agree with :func:`half_trace` to machine precision.
+    A half trace beyond the float range raises :class:`ModelEvaluationError`
+    at its first sample, with that sample's ``omega_hat``.
     """
     if cell.n_layers == 2:
         coeffs = _bilayer_coefficients(_bilayer_point(cell), Polarization(pol))
-        return lambda omegas: _bilayer_ht(coeffs, omegas)
 
-    speeds = [wave_speed(l, pol) for l in cell.layers]
-    phases = np.array([l.h_hat / c for l, c in zip(cell.layers, speeds)])
-    imps = np.array([l.rho_hat * c for l, c in zip(cell.layers, speeds)])
+        def kernel(omegas: np.ndarray) -> np.ndarray:
+            return _bilayer_ht(coeffs, omegas)
+
+    else:
+        speeds = [wave_speed(l, pol) for l in cell.layers]
+        phases = np.array([l.h_hat / c for l, c in zip(cell.layers, speeds)])
+        imps = np.array([l.rho_hat * c for l, c in zip(cell.layers, speeds)])
+
+        def kernel(omegas: np.ndarray) -> np.ndarray:
+            phi = np.outer(omegas, phases)
+            cp, sp = np.cos(phi), np.sin(phi)
+            wz = np.outer(omegas, imps)
+            m = np.empty(phi.shape + (2, 2))  # (samples, layers, 2, 2)
+            m[..., 0, 0] = cp
+            m[..., 1, 1] = cp
+            m[..., 0, 1] = sp / wz
+            m[..., 1, 0] = -wz * sp
+            t = m[:, 0]
+            for k in range(1, len(imps)):
+                t = m[:, k] @ t
+            return 0.5 * (t[:, 0, 0] + t[:, 1, 1])
 
     def grid(omegas: np.ndarray) -> np.ndarray:
         omegas = np.asarray(omegas, dtype=float)
-        phi = np.outer(omegas, phases)
-        cp, sp = np.cos(phi), np.sin(phi)
-        wz = np.outer(omegas, imps)
-        m = np.empty(phi.shape + (2, 2))  # (samples, layers, 2, 2)
-        m[..., 0, 0] = cp
-        m[..., 1, 1] = cp
-        m[..., 0, 1] = sp / wz
-        m[..., 1, 0] = -wz * sp
-        t = m[:, 0]
-        for k in range(1, len(imps)):
-            t = m[:, k] @ t
-        return 0.5 * (t[:, 0, 0] + t[:, 1, 1])
+        # the matrix product can overflow, and omega * z can round to zero
+        # and be divided by
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            values = kernel(omegas)
+        bad = ~np.isfinite(values)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ModelEvaluationError(i, [omegas[i]], "non-finite half trace")
+        return values
 
     return grid
 
@@ -448,19 +477,14 @@ def dispersion_curve(
     Within passbands the wave number is folded into the first Brillouin
     zone, ``k_hat h_hat = arccos(half_trace) in [0, pi]``; in gaps it is
     NaN and the sample is flagged.  A half trace beyond the float range
-    raises :class:`ModelEvaluationError` at its first sample.
+    raises :class:`ModelEvaluationError` at its first sample (:func:`_ht_grid`).
     """
     if omega_max <= 0:
         raise ValueError("omega_max must be positive")
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
     omegas = np.linspace(0.0, omega_max, n_points + 1)[1:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = _ht_grid(cell, pol)(omegas)
-    bad = ~np.isfinite(values)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ModelEvaluationError(i, [omegas[i]], "non-finite half trace")
+    values = _ht_grid(cell, pol)(omegas)
     in_gap = np.abs(values) > 1.0
     k_hat_h = np.where(in_gap, np.nan, np.arccos(np.clip(values, -1.0, 1.0)))
     return DispersionCurve(omegas, values, k_hat_h, in_gap)
@@ -516,8 +540,7 @@ def _newton_roots(
     todo = np.arange(w.size)
     found = np.empty(w.size)
     for _ in range(_SOLVER_STEPS_MAX):
-        ht, slope = _bilayer_ht_slope(coeffs, w)
-        f = ht + 1.0
+        f, slope = _bilayer_ht_slope(coeffs, w)
         positive = f > 0.0
         outer = np.where(positive, w, outer)
         inner = np.where(positive, inner, w)

@@ -136,8 +136,10 @@ def bisect_bilayer_gaps(points: np.ndarray, pol: Polarization | str) -> tuple[np
     Halves both Bragg brackets of every row together until no bracket
     shrinks any more (adjacent doubles, about 58 halvings), and returns
     each bracket's midpoint; NaN where ``ht(pi/tau) + 1`` is not below
-    ``-_GAP_GUARD``.  Same gap decision and kernel as
-    :func:`phonogap.crystal.bilayer_first_gaps`, slow but simple.
+    ``-_GAP_GUARD``.  Slow but simple, it shares only the gap decision and
+    the coefficients with :func:`phonogap.crystal.bilayer_first_gaps`: it
+    reads its signs from the cosine form :func:`phonogap.crystal._bilayer_ht`,
+    so it cross-checks the solver's half-angle kernel against that form.
     """
     coeffs = _bilayer_coefficients(points, Polarization(pol))
     bragg = np.pi / coeffs[3]

@@ -19,6 +19,9 @@ from phonogap.crystal import (
     _GAP_GUARD,
     _SCAN_CAP_BRAGG,
     _SCAN_STEPS_PER_BRANCH,
+    _bilayer_coefficients,
+    _bilayer_ht,
+    _bilayer_ht_slope,
     _ht_grid,
     _refine_edges,
     bilayer_first_gaps,
@@ -562,6 +565,34 @@ class TestBilayerFirstGaps:
         # the edges close in on a double root of ht + 1 (1.1e-9 measured)
         no_gap = check(near_homogeneous_points(), rtol=0.0, atol=1e-8)
         assert no_gap.any() and not no_gap.all()
+
+    @pytest.mark.parametrize("pol", ["S", "P"])
+    def test_half_angle_kernel_matches_cosine_form(self, pol):
+        # the solver's f = ht + 1 and slope, from one tan per half phase,
+        # against the cosine form, at random frequencies of both brackets
+        # and near 0, pi/(2 tau), pi/tau and 2 pi/tau; each agrees to
+        # 4 eps times the size of its terms (2.7 and 2.3 measured)
+        eps = np.finfo(float).eps
+        for seed in range(3):
+            samples = lhs_sample(5, 20000, seed)
+            points = map_to_space(
+                np.vstack([samples.original, samples.complementary]), canonical_space()
+            )
+            coeffs = p, q, diff, tot = _bilayer_coefficients(points, Polarization(pol))
+            bragg = np.pi / tot
+            rng = np.random.default_rng(seed)
+            scales = [rng.uniform(0.0, 2.0, bragg.size)]
+            for anchor in (0.0, 0.5, 1.0, 2.0):
+                for offset in (-1e-4, -1e-9, -1e-15, 0.0, 1e-15, 1e-9, 1e-4):
+                    if 0.0 < anchor + offset <= 2.0:
+                        scales.append(anchor + offset)
+            for scale in scales:
+                w = scale * bragg
+                f, slope = _bilayer_ht_slope(coeffs, w)
+                cosine_f = _bilayer_ht(coeffs, w) + 1.0
+                cosine_slope = -(p * diff * np.sin(diff * w) + q * tot * np.sin(tot * w))
+                assert np.all(np.abs(f - cosine_f) <= 4.0 * eps * (np.abs(p) + q + 1.0))
+                assert np.all(np.abs(slope - cosine_slope) <= 4.0 * eps * (np.abs(p * diff) + q * tot))
 
     @pytest.mark.parametrize("pol", ["S", "P"])
     def test_start_objective_solves_the_start_brackets_alone(self, pol):
