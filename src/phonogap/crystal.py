@@ -35,10 +35,12 @@ only root in ``(pi/tau, 2 pi/tau)``; :func:`bilayer_first_gaps` solves
 both brackets for many cells at once by Newton steps kept inside them,
 down to a rounding-level residual.  Each edge depends on its own bracket
 alone, so the start objectives solve only the start brackets and get the
-same bits.  The solver evaluates ``ht + 1`` in half-angle form, from one
-``tan`` per phase (:func:`_bilayer_ht_slope`): numpy's float64 ``tan`` is
-SIMD code, its ``cos`` and ``sin`` scalar libm calls, so two ``tan``
-calls cost less than two of each.  The gap decision,
+same bits, and the solver takes the brackets in blocks of 8192 and sets
+finished edges aside by index once a step finishes any.  The solver
+evaluates ``ht + 1`` in half-angle form, from one ``tan`` per phase
+(:func:`_bilayer_ht_slope`): numpy's float64 ``tan`` is SIMD code, its
+``cos`` and ``sin`` scalar libm calls, so two ``tan`` calls cost less
+than two of each.  The gap decision,
 :func:`two_layer_half_trace` and the dispersion grid keep the cosine
 form.  Stacks of three or more layers have no such bracket, but the
 same oscillation theorem holds for any stack of layers with
@@ -109,6 +111,10 @@ _KSECTION_POINTS = 64
 #: Safety cap on the steps of the bilayer Newton solve and of the scan's
 #: k-section edge refinement; both stop well before it.
 _SOLVER_STEPS_MAX = 200
+
+#: Brackets per block of the bilayer Newton solve: each of its float64
+#: temporaries is then 64 KB, so a step's working set stays in L2.
+_NEWTON_BLOCK = 8192
 
 
 class Polarization(str, Enum):
@@ -504,12 +510,14 @@ def _refine_edges(
     sub-bracket of the first crossing.  The points are those of
     ``np.linspace(lo, hi, _KSECTION_POINTS + 2)[1:-1]``.  A bracket that
     holds adjacent doubles takes no further points: they would round to
-    its ends, and the bracket could collapse onto one of them.
+    its ends, and the bracket could collapse onto one of them.  A
+    non-finite half trace is reported by its index among the step's points
+    and by the step.
     """
     lo, hi, entering = (np.array(column) for column in zip(*brackets))
     n = _KSECTION_POINTS
     k = np.arange(1, n + 1)
-    for _ in range(_SOLVER_STEPS_MAX):
+    for step in range(1, _SOLVER_STEPS_MAX + 1):
         live = np.flatnonzero(np.nextafter(lo, hi) != hi)
         if not live.size:
             break
@@ -520,7 +528,12 @@ def _refine_edges(
         pts[:, 0], pts[:, -1] = lo[live], hi[live]
         pts[:, 1:-1] = pts[:, :1] + k * ((pts[:, -1:] - pts[:, :1]) / (n + 1))
         crossed = np.ones((live.size, n + 1), dtype=bool)
-        values = grid(pts[:, 1:-1].ravel()).reshape(-1, n)
+        try:
+            values = grid(pts[:, 1:-1].ravel()).reshape(-1, n)
+        except ModelEvaluationError as err:
+            raise ModelEvaluationError(
+                err.index, err.point, err.message, f" of k-section step {step}"
+            ) from err
         crossed[:, :n] = (sign * values > 1.0) == entering[live, None]
         j = crossed.argmax(axis=1)
         rows = np.arange(live.size)
@@ -534,12 +547,16 @@ def _newton_roots(
     """The root of ``f = ht + 1`` between ``outer`` and ``inner`` for each
     bracket, by the safeguarded Newton iteration of
     :func:`bilayer_first_gaps`; ``coeffs`` hold one row per bracket, and
-    ``f > 0`` at ``outer``, ``f < 0`` at ``inner``."""
-    w = 0.5 * (outer + inner)
+    ``f > 0`` at ``outer``, ``f < 0`` at ``inner``.  A step that finishes
+    no edge keeps its arrays whole; one that finishes some writes those
+    edges and keeps the rest by index.  A row still going after
+    ``_SOLVER_STEPS_MAX`` steps gets its last evaluated point."""
+    step = 0.5 * (outer + inner)
     tol = 4.0 * np.finfo(float).eps * (np.abs(coeffs[0]) + coeffs[1] + 1.0)
-    todo = np.arange(w.size)
-    found = np.empty(w.size)
-    for _ in range(_SOLVER_STEPS_MAX):
+    todo = np.arange(step.size)
+    found = np.empty(step.size)
+    for steps_left in reversed(range(_SOLVER_STEPS_MAX)):
+        w = step
         f, slope = _bilayer_ht_slope(coeffs, w)
         positive = f > 0.0
         outer = np.where(positive, w, outer)
@@ -548,19 +565,26 @@ def _newton_roots(
             newton = w - f / slope
         inside = (np.minimum(outer, inner) < newton) & (newton < np.maximum(outer, inner))
         step = np.where(inside, newton, 0.5 * (outer + inner))
-        found[todo] = w
         going = (np.abs(f) > tol) & (step != w)
-        if not going.any():
+        if not steps_left:
             break
-        todo, w, outer, inner, tol = todo[going], step[going], outer[going], inner[going], tol[going]
-        coeffs = tuple(c[going] for c in coeffs)
+        if not going.all():
+            done = np.flatnonzero(~going)
+            found[todo[done]] = w[done]
+            if done.size == w.size:
+                return found
+            keep = np.flatnonzero(going)
+            todo, step, outer, inner, tol = (x[keep] for x in (todo, step, outer, inner, tol))
+            coeffs = tuple(c[keep] for c in coeffs)
+    found[todo] = w
     return found
 
 
 def _bilayer_edges(points: np.ndarray, pol: Polarization, n_edges: int) -> np.ndarray:
     """The first ``n_edges`` edges of every row's first gap, the start and
     then the end, as an ``(n_edges, m)`` array with NaN for gap-free rows;
-    only the brackets of those edges are solved."""
+    only the brackets of those edges are solved, ``_NEWTON_BLOCK`` at a
+    time."""
     coeffs = _bilayer_coefficients(points, pol)
     bragg = np.pi / coeffs[3]
     has_gap = _bilayer_ht(coeffs, bragg) + 1.0 < -_GAP_GUARD
@@ -569,8 +593,12 @@ def _bilayer_edges(points: np.ndarray, pol: Polarization, n_edges: int) -> np.nd
     gapped = np.flatnonzero(has_gap)
     rows = np.tile(gapped, n_edges)
     outer = np.concatenate([np.zeros(gapped.size), 2.0 * bragg[gapped]][:n_edges])
+    found = np.empty(rows.size)
+    for s in range(0, rows.size, _NEWTON_BLOCK):
+        block = slice(s, s + _NEWTON_BLOCK)
+        r = rows[block]
+        found[block] = _newton_roots(tuple(c[r] for c in coeffs), bragg[r], outer[block])
     edges = np.full((n_edges, len(bragg)), np.nan)
-    found = _newton_roots(tuple(c[rows] for c in coeffs), bragg[rows], outer)
     edges[:, has_gap] = found.reshape(n_edges, -1)
     return edges
 
@@ -597,7 +625,11 @@ def bilayer_first_gaps(
     the rounding level of ``f``, or once its step no longer moves it.  A
     final edge is set aside, so an edge depends on its own bracket alone:
     any split of the rows into batches, or a solve of the start brackets
-    alone (as the start objectives do), gives bit-identical edges.
+    alone (as the start objectives do), gives bit-identical edges.  The
+    solver uses that: it takes the brackets in blocks of 8192, whose
+    temporaries stay in L2, and sets finished edges aside by index only
+    after a step that finishes any, so the early steps, which finish none,
+    move no data.
     """
     start, end = _bilayer_edges(points, Polarization(pol), 2)
     return start, end
@@ -611,10 +643,15 @@ def _scan_first_gap(cell: UnitCell, pol: Polarization) -> BandGap | None:
     n_max = int(math.floor(_SCAN_CAP_BRAGG * math.pi / tau / step))
 
     def chunks(k: int, last: int) -> Iterator[tuple[int, np.ndarray]]:
-        """``(k, half traces)`` of the grid samples ``k..last``, 256 at a time."""
+        """``(k, half traces)`` of the grid samples ``k..last``, 256 at a
+        time; a non-finite half trace is reported by its grid index."""
         while k <= last:
             stop = min(k + 256, last + 1)
-            yield k, grid(step * np.arange(k, stop))
+            try:
+                values = grid(step * np.arange(k, stop))
+            except ModelEvaluationError as err:
+                raise ModelEvaluationError(k + err.index, err.point, err.message) from err
+            yield k, values
             k = stop
 
     def first_hit(

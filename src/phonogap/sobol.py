@@ -62,14 +62,17 @@ class ModelEvaluationError(RuntimeError):
 
     Carries the row index within the evaluated matrix, the offending
     point (so callers can surface the physical parameters) and the
-    message that precedes them.
+    message that precedes them.  ``scope``, when given, follows the index
+    and names what it counts in (`` of k-section step 3``).
     """
 
-    def __init__(self, index: int, point: np.ndarray, message: str = "model evaluation failed"):
+    def __init__(
+        self, index: int, point: np.ndarray, message: str = "model evaluation failed", scope: str = ""
+    ):
         self.index = int(index)
         self.point = np.asarray(point, dtype=float)
         self.message = message
-        super().__init__(f"{message} at sample {self.index}: {self.point.tolist()}")
+        super().__init__(f"{message} at sample {self.index}{scope}: {self.point.tolist()}")
 
 
 @dataclass(frozen=True)

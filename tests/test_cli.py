@@ -172,26 +172,37 @@ class TestBandgapCommand:
         assert [p.name for p in tmp_path.iterdir()] == ["cell.json"]
 
     @pytest.mark.parametrize(
-        "layers",
+        "layers, sample",
         [
-            '{"h": 1, "rho": 1e160, "e": 1e160, "nu": 0.2}, {"h": 1, "rho": 1e-160, "e": 1e-160, "nu": 0.1}',
-            '{"h": 1, "rho": 1e-300, "e": 1e-300, "nu": 0.2}, {"h": 1, "rho": 2, "e": 3, "nu": 0.1}',
+            (
+                '{"h": 1, "rho": 1e160, "e": 1e160, "nu": 0.2}, {"h": 1, "rho": 1e-160, "e": 1e-160, "nu": 0.1}',
+                "1",
+            ),
+            (
+                '{"h": 1, "rho": 1e-300, "e": 1e-300, "nu": 0.2}, {"h": 1, "rho": 2, "e": 3, "nu": 0.1}',
+                "0 of k-section step 12",
+            ),
         ],
         ids=["impedance-product-overflows", "impedance-product-underflows"],
     )
-    def test_non_finite_half_trace_exits_1(self, tmp_path, capsys, layers):
+    def test_non_finite_half_trace_exits_1(self, tmp_path, capsys, layers, sample):
         # the first cell's matrix product overflows at the scan's first grid
-        # sample; the second's omega * z rounds to zero inside the edge
-        # refinement; either exits 1 with that omega_hat and no warning
+        # sample, grid index 1; the second's omega * z rounds to zero inside
+        # the edge refinement; either exits 1 with that omega_hat and no
+        # warning
         path = tmp_path / "cell.json"
         path.write_text('{"layers": [{"h": 1, "rho": 1, "e": 1, "nu": 0.2}, ' + layers + "]}")
         assert main(["bandgap", "--cell", str(path), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: non-finite half trace at sample ")
         assert err.count("\n") == 1
+        assert err.split("at sample ")[1].split(":")[0] == sample
         omega_hat = float(err.split("[")[1].rstrip("]\n"))
         tau = transit_time(UnitCell.from_json(path.read_text()), Polarization.S)
-        assert 0.0 < omega_hat <= math.pi / (phonogap.crystal._SCAN_STEPS_PER_BRANCH * tau)
+        step = math.pi / (phonogap.crystal._SCAN_STEPS_PER_BRANCH * tau)
+        assert 0.0 < omega_hat <= step
+        if "k-section" not in sample:
+            assert omega_hat == int(sample) * step
         assert [p.name for p in tmp_path.iterdir()] == ["cell.json"]
 
 

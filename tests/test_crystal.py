@@ -527,6 +527,51 @@ class TestBilayerFirstGaps:
                 [start[0], end[0]], [batch[pol][0][r], batch[pol][1][r]]
             )
 
+    @pytest.mark.parametrize("pol", ["S", "P"])
+    def test_blocks_match_small_batches(self, pol):
+        # about 2.5 blocks of start brackets and an odd remainder, with a
+        # gap-free row where the first block ends; solves in batches of 777
+        # rows cross no block edge where the whole corpus does
+        samples = lhs_sample(5, 10500, 31)
+        points = map_to_space(np.vstack([samples.original, samples.complementary]), canonical_space())
+        block = crystal._NEWTON_BLOCK
+        assert 2 * block < len(points) < 3 * block
+        points[block - 1] = [1.0, 1.0, 2.0, 0.3, 0.3]
+        start, end = bilayer_first_gaps(points, pol)
+        assert np.isnan(start[block - 1]) and np.isnan(end[block - 1])
+        batches = [bilayer_first_gaps(points[r : r + 777], pol) for r in range(0, len(points), 777)]
+        assert np.array_equal(start, np.concatenate([b[0] for b in batches]), equal_nan=True)
+        assert np.array_equal(end, np.concatenate([b[1] for b in batches]), equal_nan=True)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_step_cap_returns_the_last_evaluated_point(self, monkeypatch, cap):
+        # a spy on the kernel records, per bracket, the last point evaluated;
+        # a bracket is its cell's coefficients and which side of pi/tau it is
+        samples = lhs_sample(5, 300, 37)
+        points = map_to_space(np.vstack([samples.original, samples.complementary]), canonical_space())
+        kernel = crystal._bilayer_ht_slope
+        last = {}
+
+        def spy(coeffs, omegas):
+            starts = omegas < np.pi / coeffs[3]
+            for *key, w in zip(*(c.tolist() for c in coeffs), starts.tolist(), omegas.tolist()):
+                last[tuple(key)] = w
+            return kernel(coeffs, omegas)
+
+        monkeypatch.setattr(crystal, "_bilayer_ht_slope", spy)
+        monkeypatch.setattr(crystal, "_SOLVER_STEPS_MAX", cap)
+        for pol in ("S", "P"):
+            last.clear()
+            start, end = bilayer_first_gaps(points, pol)
+            coeffs = [c.tolist() for c in _bilayer_coefficients(points, Polarization(pol))]
+            for edges, is_start in ((start, True), (end, False)):
+                expected = [last[(*row, is_start)] for row in zip(*coeffs)]
+                np.testing.assert_array_equal(edges, expected)
+            if cap == 1:
+                bragg = np.pi / _bilayer_coefficients(points, Polarization(pol))[3]
+                np.testing.assert_array_equal(start, 0.5 * (0.0 + bragg))
+                np.testing.assert_array_equal(end, 0.5 * (2.0 * bragg + bragg))
+
     def test_near_homogeneous_sweep(self):
         # E2/E1 = 1 + 10^-k: the Bragg dip below -1 shrinks like 10^-2k and
         # falls under the 1e-12 rounding guard from k = 6 on
