@@ -113,7 +113,6 @@ class SampleSet:
     original: np.ndarray
     complementary: np.ndarray
     seed: int
-    generator: str = GENERATOR_NAME
 
     def __post_init__(self) -> None:
         for label in ("original", "complementary"):

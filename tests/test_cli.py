@@ -17,6 +17,7 @@ from phonogap.design import ExtrapolationWarning
 from phonogap.sampling import (
     ParameterDef, ParameterSpace, canonical_space, lhs_sample, map_to_space,
 )
+from phonogap.sobol import analytic_poly_reference
 
 from oracles import dispersion_reference_rows
 
@@ -222,8 +223,15 @@ class TestSobolCommand:
         s23 = pairs["x2|x3"]
         ranked = sorted(list(indices.values()) + list(pairs.values()), reverse=True)
         assert ranked[0] == pytest.approx(s23) and ranked[1] == pytest.approx(s2)
+        assert "residual_higher_order_plus_noise" in result
         comparison = json.loads((tmp_path / "analytic_comparison.json").read_text())
         assert comparison["indices"]["2"]["analytic"] == pytest.approx(0.4281, abs=1e-4)
+        exact = analytic_poly_reference().indices
+        first = dict(zip("123", result["first_order_indices"]))
+        for k in ("1", "2", "3", "12", "13", "23"):
+            row = comparison["indices"][k]
+            assert row["analytic"] == exact[k]
+            assert row["estimated"] == (first[k] if len(k) == 1 else pairs[f"x{k[0]}|x{k[1]}"])
         rows = read_csv(tmp_path / "sobol_indices.csv")
         assert len(rows) == 1 + 3 + 3
 

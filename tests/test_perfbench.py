@@ -2,9 +2,12 @@
 still find, and wrap, the phonogap names it rebinds."""
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from phonogap.crystal import Layer, UnitCell
 
@@ -42,3 +45,16 @@ def test_traced_commands_record_the_estimator_spans(tmp_path):
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["codes"] == [0, 0, 0]
     assert {"sobol.function_1d", "sobol.function_2d", "cli.main"} <= set(report["spans"])
+
+
+def test_ci_runs_tier1_and_gates_each_benchmark_smoke_run():
+    yaml = pytest.importorskip("yaml")
+    steps = yaml.safe_load((ROOT / ".github" / "workflows" / "tests.yml").read_text())["jobs"]["tier1"]["steps"]
+    verify = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (ROOT / "ROADMAP.md").read_text()).group(1)
+    assert [step["run"].strip() for step in steps if step.get("name") == "Tier-1 tests"] == [verify]
+    runs = [step for step in steps if "perfbench/run.py" in step.get("run", "")]
+    smoke = {re.search(r"--workload (\w+)", step["run"]).group(1): step for step in runs}
+    assert sorted(smoke) == ["multilayer", "poly", "study"]
+    for step in smoke.values():
+        assert step["env"]["PYTHONWARNINGS"] == "error::RuntimeWarning"
+        assert step["run"].rstrip().endswith("""grep -q '"correct": true'""")

@@ -13,6 +13,7 @@ from phonogap.sampling import (
     lhs_sample,
     map_to_space,
 )
+from phonogap.sobol import analytic_poly_model, sobol_indices
 
 
 def stratum_counts(matrix: np.ndarray) -> np.ndarray:
@@ -89,7 +90,7 @@ class TestLatinHypercube:
             s.original[0, 0] = 0.5
 
     def test_generator_is_documented(self):
-        assert lhs_sample(1, 2, 0).generator == "pcg64"
+        assert sobol_indices(analytic_poly_model(), lhs_sample(3, 8, 0)).to_json_dict()["generator"] == "pcg64"
 
 
 class TestParameterSpace:

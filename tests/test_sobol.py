@@ -1,12 +1,7 @@
 import csv
 import io
-import json
-import os
-import subprocess
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,8 +28,6 @@ from oracles import (
     mixed_blocks,
     surface_reference_rows,
 )
-
-ROOT = Path(__file__).resolve().parent.parent
 
 POLY = analytic_poly_model()
 REF = analytic_poly_reference()
@@ -486,24 +479,3 @@ class TestOrthogonality:
         assert d12 == pytest.approx(REF.partial_variances["12"], rel=1e-12)
         assert d23 == pytest.approx(REF.partial_variances["23"], rel=1e-12)
 
-
-class TestPolyBenchmarkScript:
-    def test_writes_the_convergence_table_and_surfaces(self, tmp_path):
-        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-        subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "poly_benchmark.py"), "--out", str(tmp_path)],
-            check=True, capture_output=True, env=env,
-        )
-        names = {p.name for p in tmp_path.iterdir()}
-        assert names == {
-            "index_convergence.csv", "function_x2_N100.csv", "function_x2_N500.csv",
-            "function_x2_N2000.csv", "function_x2_N4000.csv", "function_x2x3.csv", "summary.json",
-        }
-        with open(tmp_path / "index_convergence.csv", newline="") as fh:
-            header, *rows = list(csv.reader(fh))
-        assert header[:2] == ["index", "exact"]
-        exact = {row[0]: row[1] for row in rows}
-        assert exact.pop("residual") == "0.0000"
-        assert exact == {f"S{k}": f"{REF.indices[k]:.4f}" for k in ("1", "2", "3", "12", "13", "23")}
-        summary = json.loads((tmp_path / "summary.json").read_text())
-        assert summary["exact_indices"] == {k: REF.indices[k] for k in ("1", "2", "3", "12", "13", "23")}
