@@ -19,12 +19,14 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from .sampling import ParameterSpace, canonical_space, lhs_sample
+from .sampling import ParameterSpace, SampleSet, canonical_space, lhs_sample
 from .sobol import (
     ModelEvaluationError,
+    _evaluate,
     analytic_poly_model,
     analytic_poly_reference,
     estimate_sobol_function_1d,
@@ -33,6 +35,7 @@ from .sobol import (
 )
 from .crystal import (
     GapNotClosedError,
+    ObjectiveKind,
     Polarization,
     UnitCell,
     dispersion_curve,
@@ -183,7 +186,7 @@ def cmd_sobol(args: argparse.Namespace) -> int:
     else:
         space = _load_space(args.space)
         try:
-            model = objective_model(args.target, space)
+            model = objective_model(args.target, space=space)
         except ValueError as err:
             raise ConfigError(f"space file {args.space}: {err}") from err
         names = space.names
@@ -239,6 +242,16 @@ def _parse_point(text: str) -> np.ndarray:
     return point
 
 
+def _exact_columns(kinds: list[str], samples: SampleSet) -> Iterator[tuple[str, np.ndarray]]:
+    """Each kind with the solver's values of its objective on the original
+    sample matrix, from one model call per polarization."""
+    for pol in Polarization:
+        group = [kind for kind in kinds if ObjectiveKind(kind).polarization is pol]
+        if group:
+            values = _evaluate(objective_model(*group), samples.original)
+            yield from zip(group, values.reshape(samples.n_samples, -1).T)
+
+
 def cmd_design(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     kinds = list(KINDS) if args.kind == "all" else [args.kind]
@@ -260,17 +273,15 @@ def cmd_design(args: argparse.Namespace) -> int:
     samples = lhs_sample(5, args.n, args.seed)
     if args.mode == "error":
         payload = {"mode": "error", "n_samples": args.n, "seed": args.seed, "delta": {}}
-        for kind in kinds:
-            delta = scaled_l2_error(objective_model(kind), design_model(kind), samples)
-            payload["delta"][kind] = delta
+        for kind, exact in _exact_columns(kinds, samples):
+            payload["delta"][kind] = scaled_l2_error(exact, design_model(kind), samples)
         _write_json(out / "design_error.json", payload)
         print(json.dumps(payload["delta"], indent=2, sort_keys=True))
         return 0
 
     payload = {"mode": "truncation", "n_samples": args.n, "seed": args.seed, "curves": {}}
-    for kind in kinds:
-        curve = truncation_curve(objective_model(kind), kind, samples)
-        payload["curves"][kind] = curve.to_json_dict()
+    for kind, exact in _exact_columns(kinds, samples):
+        payload["curves"][kind] = truncation_curve(exact, kind, samples).to_json_dict()
     _write_json(out / "design_truncation.json", payload)
     for kind in kinds:
         print(kind, " ".join(format(d, ".4f") for d in payload["curves"][kind]["delta_by_k"]))

@@ -725,13 +725,14 @@ def first_band_gap(cell: UnitCell, pol: Polarization | str) -> BandGap | None:
     return _scan_first_gap(cell, pol)
 
 
-def _objective_values(points: np.ndarray, kind: ObjectiveKind) -> np.ndarray:
-    """Objective of every row; NaN where the cell has no gap.  A start
-    objective solves only the start brackets."""
-    if kind.is_width:
-        start, end = bilayer_first_gaps(points, kind.polarization)
-        return end - start
-    return _bilayer_edges(points, kind.polarization, 1)[0]
+def _objective_values(points: np.ndarray, *kinds: ObjectiveKind) -> np.ndarray:
+    """Objectives of every row from one solve, as a vector for one kind and
+    an ``(m, k)`` matrix for ``k`` kinds of one polarization; NaN where the
+    cell has no gap.  Start objectives alone solve only the start
+    brackets."""
+    edges = _bilayer_edges(points, kinds[0].polarization, 2 if any(k.is_width for k in kinds) else 1)
+    columns = [edges[1] - edges[0] if k.is_width else edges[0] for k in kinds]
+    return columns[0] if len(columns) == 1 else np.column_stack(columns)
 
 
 def objective(params: Sequence[float], kind: ObjectiveKind | str) -> float:
@@ -748,17 +749,25 @@ def objective(params: Sequence[float], kind: ObjectiveKind | str) -> float:
     return value
 
 
-def objective_model(kind: ObjectiveKind | str, space: ParameterSpace | None = None) -> ModelFunction:
-    """Wrap an objective as a unit-hypercube model for the Sobol' engine.
+def objective_model(*kinds: ObjectiveKind | str, space: ParameterSpace | None = None) -> ModelFunction:
+    """Wrap objectives as a unit-hypercube model for the Sobol' engine.
 
-    One call solves all rows at once; the first gap-free row raises
+    One kind gives a model with one output.  Several kinds of one
+    polarization give one output column per kind, in the order given,
+    from a single solve: ``objective_model("SS", "WS")`` returns an
+    ``(m, 2)`` matrix whose columns are, bit for bit, the outputs of
+    ``objective_model("SS")`` and ``objective_model("WS")``.  One call
+    solves all rows at once, only their start brackets when every kind is
+    a start objective; the first gap-free row raises
     :class:`ModelEvaluationError` with its index and physical point.
     The solver reads the columns by position, so ``space`` must name the
     five canonical dimensions in canonical order, with positive ratio
     bounds and Poisson's-ratio bounds in ``[0, NU_CAP]`` (``ValueError``
     naming the dimension if not).
     """
-    kind = ObjectiveKind(kind)
+    kinds = tuple(ObjectiveKind(kind) for kind in kinds)
+    if not kinds or len({kind.polarization for kind in kinds}) != 1:
+        raise ValueError(f"expected objectives of one polarization, got {[k.value for k in kinds]}")
     canonical = canonical_space()
     space = canonical if space is None else space
     if space.names != canonical.names:
@@ -777,11 +786,12 @@ def objective_model(kind: ObjectiveKind | str, space: ParameterSpace | None = No
 
     def fn(u: np.ndarray) -> np.ndarray:
         pts = map_to_space(u, space)
-        values = _objective_values(pts, kind)
-        missing = np.isnan(values)
+        values = _objective_values(pts, *kinds)
+        missing = np.isnan(values).reshape(len(pts), -1).any(axis=1)
         if missing.any():
             r = int(np.argmax(missing))
             raise ModelEvaluationError(r, pts[r], "no first band gap")
         return values
 
-    return ModelFunction(n_dims=space.n_dims, fn=fn, name=f"bandgap-{kind.value}")
+    name = "bandgap-" + ",".join(kind.value for kind in kinds)
+    return ModelFunction(n_dims=space.n_dims, fn=fn, name=name)

@@ -205,20 +205,27 @@ def design_model(kind: str) -> ModelFunction:
 
 
 def scaled_l2_error(
-    exact: ModelFunction,
+    exact: np.ndarray,
     surrogate: ModelFunction,
     samples: SampleSet,
 ) -> float:
     """Mean squared surrogate error over the original sample matrix,
-    normalized by the exact model's variance estimate on the same rows."""
-    if exact.n_dims != surrogate.n_dims or exact.n_dims != samples.n_dims:
-        raise ValueError("exact, surrogate and samples must share dimensionality")
-    return _scaled_error(_evaluate(exact, samples.original), _evaluate(surrogate, samples.original))
+    normalized by the variance of the exact values on the same rows.
+
+    ``exact`` holds the exact model's value at each row of
+    ``samples.original``: one column of an exact call that may solve
+    several objectives of one polarization at once.
+    """
+    if surrogate.n_dims != samples.n_dims:
+        raise ValueError("surrogate and samples must share dimensionality")
+    return _scaled_error(exact, _evaluate(surrogate, samples.original))
 
 
 def _scaled_error(y: np.ndarray, y_hat: np.ndarray) -> float:
     """Mean squared error of ``y_hat`` over the variance of ``y`` (both
     moments taken over the same rows)."""
+    if np.shape(y) != np.shape(y_hat):
+        raise ValueError(f"exact values of shape {np.shape(y)} do not match {np.shape(y_hat)} rows")
     mean = float(np.mean(y))
     variance = float(np.mean(y * y) - mean * mean)
     if variance <= 0.0:
@@ -251,16 +258,16 @@ class TruncationCurve:
         }
 
 
-def truncation_curve(exact: ModelFunction, kind: str, samples: SampleSet) -> TruncationCurve:
-    """Error-vs-terms curve for one design equation against ``exact``.
+def truncation_curve(exact: np.ndarray, kind: str, samples: SampleSet) -> TruncationCurve:
+    """Error-vs-terms curve for one design equation against ``exact``, the
+    exact values on ``samples.original`` (as for :func:`scaled_l2_error`).
 
-    ``exact`` is evaluated once and one :meth:`DesignEquation.partial_sums`
-    pass gives every truncation level, so the last entry is the
-    :func:`scaled_l2_error` of :func:`design_model` on the same samples.
+    One :meth:`DesignEquation.partial_sums` pass gives every truncation
+    level, so the last entry is the :func:`scaled_l2_error` of
+    :func:`design_model` on the same samples.
     """
-    y = _evaluate(exact, samples.original)
     pts = map_to_space(samples.original, canonical_space())
-    deltas = tuple(_scaled_error(y, row) for row in load_design_equations()[str(kind)].partial_sums(pts))
+    deltas = tuple(_scaled_error(exact, row) for row in load_design_equations()[str(kind)].partial_sums(pts))
     return TruncationCurve(kind=str(kind), deltas=deltas, n_samples=samples.n_samples, seed=samples.seed)
 
 

@@ -29,7 +29,9 @@ ANOVA decomposition) of one or two frozen axes come from one estimator
 on a regular grid.  Every node averages the model over the same inner
 Latin Hypercube sample of the remaining dimensions, drawn once per
 function: with these common random numbers the inner-sample error is
-mostly a shift shared by all nodes, which centering removes.
+mostly a shift shared by all nodes, which centering removes.  One model
+call evaluates as many whole grid lines as fit in 8192 rows, and at
+least one line.
 
 Everything here is deterministic given (model, seed, N).
 """
@@ -79,9 +81,11 @@ class ModelEvaluationError(RuntimeError):
 class ModelFunction:
     """A pure, deterministic model on the unit hypercube.
 
-    ``fn`` maps an ``(m, n_dims)`` matrix to an ``(m,)`` vector.  It must
-    be side-effect free and row-pure: the value of row ``r`` may depend
-    only on row ``r``, which is what makes stacked evaluation exact.
+    ``fn`` maps an ``(m, n_dims)`` matrix to an ``(m,)`` vector, or, for a
+    model with ``k`` outputs, to an ``(m, k)`` matrix with one column per
+    output.  It must be side-effect free and row-pure: the value of row
+    ``r`` may depend only on row ``r``, which is what makes stacked
+    evaluation exact.  The Sobol' estimators take single-output models.
     """
 
     n_dims: int
@@ -90,10 +94,15 @@ class ModelFunction:
 
 
 def _evaluate(model: ModelFunction, matrix: np.ndarray) -> np.ndarray:
-    """Evaluate ``model`` on every row in one call; reject non-finite values."""
+    """Evaluate ``model`` on every row in one call, as an ``(m,)`` vector or,
+    for a model with several outputs, an ``(m, k)`` matrix; reject a row
+    with any non-finite value."""
     matrix = np.ascontiguousarray(matrix, dtype=float)
-    values = np.asarray(model.fn(matrix), dtype=float).reshape(matrix.shape[0])
+    values = np.asarray(model.fn(matrix), dtype=float)
+    values = values.reshape((matrix.shape[0], -1) if values.ndim == 2 else matrix.shape[0])
     bad = ~np.isfinite(values)
+    if bad.ndim == 2:
+        bad = bad.any(axis=1)
     if bad.any():
         idx = int(np.argmax(bad))
         raise ModelEvaluationError(idx, matrix[idx], "model returned a non-finite value")
@@ -220,7 +229,7 @@ def sobol_indices(
 
     stacked = _stacked_matrix(samples, [(i,) for i in range(n)] + pairs)
     try:
-        blocks = _evaluate(model, stacked).reshape(-1, samples.n_samples)
+        blocks = _evaluate(model, stacked).reshape(1 + n + len(pairs), samples.n_samples)
     except ModelEvaluationError as err:
         raise ModelEvaluationError(err.index % samples.n_samples, err.point, err.message) from err
     y, mixed = blocks[0], blocks[1:]
@@ -305,24 +314,38 @@ def _midpoint_grid(n: int) -> np.ndarray:
     return (np.arange(n) + 0.5) / n
 
 
+#: Rows per model call of a Sobol'-function surface, in whole grid lines:
+#: enough to spread a solve's fixed cost over many short lines, few enough
+#: to keep the temporaries small (one call for a whole 64x64 poly surface
+#: ran 3x slower).
+_SURFACE_CALL_ROWS = 8192
+
+
 def _conditional_means(
     model: ModelFunction,
     axes: Sequence[int],
     nodes: np.ndarray,
     inner: np.ndarray,
+    line: int,
 ) -> np.ndarray:
     """Mean of the model over the shared ``inner`` sample at each node, in
     one model call.
 
     Row ``a`` of ``nodes`` fixes the coordinates ``axes``; the remaining
-    dimensions, in increasing order, take the columns of ``inner``.
+    dimensions, in increasing order, take the columns of ``inner``.  The
+    nodes form whole grid lines of ``line`` nodes each, and a failing row
+    is reported by its index within its own line.
     """
     rest = [k for k in range(model.n_dims) if k not in axes]
     pts = np.empty((len(nodes), len(inner), model.n_dims))
     pts[:, :, rest] = inner
     pts[:, :, list(axes)] = nodes[:, None, :]
-    values = _evaluate(model, pts.reshape(-1, model.n_dims)).reshape(len(nodes), len(inner))
-    return values.mean(axis=1)
+    try:
+        values = _evaluate(model, pts.reshape(-1, model.n_dims))
+    except ModelEvaluationError as err:
+        rows = line * len(inner)
+        raise ModelEvaluationError(err.index % rows, err.point, err.message) from err
+    return values.reshape(len(nodes), len(inner)).mean(axis=1)
 
 
 def _estimate_sobol_function(
@@ -338,9 +361,10 @@ def _estimate_sobol_function(
     ``inner_samples`` Latin Hypercube draws of the remaining dimensions.
     It is drawn from ``default_rng(seed)``, i.e. the root
     ``SeedSequence(seed)`` itself, a stream distinct from the two children
-    behind ``lhs_sample``.  Each model call fills one grid line (the last
-    axis) of the table of conditional means, which bounds the memory of a
-    surface.
+    behind ``lhs_sample``.  Each model call fills whole grid lines (along
+    the last axis) of the table of conditional means, as many as fit in
+    ``_SURFACE_CALL_ROWS`` rows and at least one, which bounds the memory
+    of a surface.  The model is row-pure, so the split changes no node.
     """
     if len(set(axes)) != len(axes):
         raise ValueError("second-order function needs two distinct dimensions")
@@ -352,11 +376,14 @@ def _estimate_sobol_function(
     grid = _midpoint_grid(grid_points)
     # a module-level lookup: perfbench/spans.py rebinds ``_lhs_matrix``
     inner = _lhs_matrix(model.n_dims - len(axes), inner_samples, np.random.default_rng(seed))
-    lines = []
-    for lead in itertools.product(grid, repeat=len(axes) - 1):  # fixed coordinates of the line
-        nodes = np.column_stack([*(np.full(grid_points, c) for c in lead), grid])
-        lines.append(_conditional_means(model, axes, nodes, inner))
-    table = np.reshape(lines, (grid_points,) * len(axes))
+    # every node, one grid line (the last axis) after another
+    nodes = np.stack(np.meshgrid(*(grid,) * len(axes), indexing="ij"), axis=-1).reshape(-1, len(axes))
+    step = max(_SURFACE_CALL_ROWS // (grid_points * inner_samples), 1) * grid_points
+    means = [
+        _conditional_means(model, axes, nodes[s:s + step], inner, grid_points)
+        for s in range(0, len(nodes), step)
+    ]
+    table = np.concatenate(means).reshape((grid_points,) * len(axes))
     f0 = float(np.mean(table))
     if len(axes) == 1:
         values = table - f0

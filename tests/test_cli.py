@@ -415,6 +415,22 @@ class TestDesignCommand:
         for kind, curve in curves.items():
             assert delta[kind] == curve["delta_by_k"][-1]
 
+    @pytest.mark.parametrize("mode", ["error", "truncation"])
+    def test_one_solve_per_polarization(self, tmp_path, monkeypatch, mode):
+        solves = []
+        bilayer_edges = phonogap.crystal._bilayer_edges
+
+        def counted(points, pol, n_edges):
+            solves.append((pol.value, n_edges))
+            return bilayer_edges(points, pol, n_edges)
+
+        monkeypatch.setattr(phonogap.crystal, "_bilayer_edges", counted)
+        for kind, expected in (("all", [("S", 2), ("P", 2)]), ("SS", [("S", 1)])):
+            solves.clear()
+            argv = ["design", "--mode", mode, "--kind", kind, "--n", "100", "--out", str(tmp_path / kind)]
+            assert main(argv) == 0
+            assert solves == expected
+
     def test_error_mode_thread_invariance(self, tmp_path):
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"

@@ -724,7 +724,7 @@ class TestObjective:
                 ParameterDef("nu2", 0.25, 0.2500001),
             )
         )
-        model = objective_model("SS", degenerate)
+        model = objective_model("SS", space=degenerate)
         with pytest.raises(ModelEvaluationError) as err:
             model.fn(lhs_sample(5, 8, 0).original)
         assert err.value.point[0] == pytest.approx(1.0, abs=1e-6)
@@ -732,3 +732,32 @@ class TestObjective:
     def test_pure_function_of_inputs(self):
         params = [316.0, 31.6, 1.7, 0.11, 0.31]
         assert objective(params, "SP") == objective(params, "SP")
+
+    @pytest.mark.parametrize("kinds", [("SS", "WS"), ("WP", "SP")])
+    def test_two_kind_model_gives_the_single_kind_bits(self, kinds):
+        # 5000 rows: the two-edge solve spans two Newton blocks, the
+        # start-only solve one
+        u = lhs_sample(5, 5000, 8).original
+        model = objective_model(*kinds)
+        both = model.fn(u)
+        assert both.shape == (5000, 2) and model.name == "bandgap-" + ",".join(kinds)
+        for column, kind in zip(both.T, kinds):
+            assert np.array_equal(column, objective_model(kind).fn(u))
+
+    def test_multi_kind_model_validation(self):
+        for kinds in ((), ("SS", "SP")):
+            with pytest.raises(ValueError, match="one polarization"):
+                objective_model(*kinds)
+        # the lower corner of this space is a homogeneous cell
+        space = ParameterSpace(
+            (
+                ParameterDef("E2/E1", 1.0, 1000.0),
+                ParameterDef("rho2/rho1", 1.0, 2.0),
+                ParameterDef("h2/h1", 1.0, 2.0),
+                ParameterDef("nu1", 0.25, 0.3),
+                ParameterDef("nu2", 0.25, 0.3),
+            )
+        )
+        u = np.array([[0.5] * 5, [0.0] * 5, [0.0] * 5])
+        with pytest.raises(ModelEvaluationError, match=r"no first band gap at sample 1: \[1\.0, 1\.0, 1\.0, 0\.25, 0\.25\]"):
+            objective_model("SP", "WP", space=space).fn(u)

@@ -162,41 +162,49 @@ class TestScaledL2Error:
     def test_perfect_surrogate_scores_zero(self):
         samples = lhs_sample(5, 200, 3)
         model = design_model("SS")
-        assert scaled_l2_error(model, model, samples) == 0.0
+        assert scaled_l2_error(_evaluate(model, samples.original), model, samples) == 0.0
 
     def test_sample_mean_surrogate_scores_one(self):
         samples = lhs_sample(5, 400, 3)
-        exact = design_model("SS")
-        mean = float(np.mean(_evaluate(exact, samples.original)))
+        exact = _evaluate(design_model("SS"), samples.original)
+        mean = float(np.mean(exact))
         const = ModelFunction(5, lambda u: np.full(u.shape[0], mean), name="mean")
         assert scaled_l2_error(exact, const, samples) == pytest.approx(1.0, abs=1e-12)
 
     def test_shift_invariance(self):
         samples = lhs_sample(5, 300, 4)
-        exact = design_model("SS")
+        exact = _evaluate(design_model("SS"), samples.original)
         surrogate = truncated_design_model("SS", 1)
         base = scaled_l2_error(exact, surrogate, samples)
         shift = 17.5
-        exact_shifted = ModelFunction(5, lambda u: exact.fn(u) + shift, name="e+c")
         surrogate_shifted = ModelFunction(5, lambda u: surrogate.fn(u) + shift, name="s+c")
-        shifted = scaled_l2_error(exact_shifted, surrogate_shifted, samples)
+        shifted = scaled_l2_error(exact + shift, surrogate_shifted, samples)
         assert shifted == pytest.approx(base, rel=1e-9)
 
     def test_zero_variance_rejected(self):
         samples = lhs_sample(5, 100, 5)
         const = ModelFunction(5, lambda u: np.ones(u.shape[0]), name="one")
         with pytest.raises(ValueError):
-            scaled_l2_error(const, const, samples)
+            scaled_l2_error(np.ones(100), const, samples)
+
+    def test_exact_values_must_match_the_rows(self):
+        samples = lhs_sample(5, 100, 5)
+        exact = _evaluate(design_model("SS"), samples.original)
+        with pytest.raises(ValueError, match="do not match"):
+            scaled_l2_error(exact[:99], design_model("SS"), samples)
+        with pytest.raises(ValueError, match="do not match"):
+            truncation_curve(exact[:, None], "SS", samples)
 
     def test_nonnegative(self):
         samples = lhs_sample(5, 300, 6)
-        assert scaled_l2_error(design_model("WS"), truncated_design_model("WS", 2), samples) >= 0.0
+        exact = _evaluate(design_model("WS"), samples.original)
+        assert scaled_l2_error(exact, truncated_design_model("WS", 2), samples) >= 0.0
 
 
 class TestTruncationCurve:
     def test_reference_kind_quickly(self):
         samples = lhs_sample(5, 400, 7)
-        curve = truncation_curve(objective_model("SS"), "SS", samples)
+        curve = truncation_curve(objective_model("SS").fn(samples.original), "SS", samples)
         assert len(curve.deltas) == 4
         assert curve.deltas[0] == pytest.approx(1.0, abs=0.02)
         assert curve.deltas[-1] < 0.05
@@ -224,14 +232,13 @@ class TestPartialSums:
     @pytest.mark.parametrize("kind", KINDS)
     def test_truncation_curve_scores_each_level(self, kind, samples):
         eq = load_design_equations()[kind]
-        exact = objective_model(kind)
-        curve = truncation_curve(exact, kind, samples)
-        y = _evaluate(exact, samples.original)
+        y = _evaluate(objective_model(kind), samples.original)
+        curve = truncation_curve(y, kind, samples)
         pts = map_to_space(samples.original, canonical_space())
         assert len(curve.deltas) == len(eq.terms) + 1
         for k, delta in enumerate(curve.deltas):
             assert delta == _scaled_error(y, design_sum_reference(eq, pts, k)), k
-        assert curve.deltas[-1] == scaled_l2_error(exact, design_model(kind), samples)
+        assert curve.deltas[-1] == scaled_l2_error(y, design_model(kind), samples)
 
     def test_truncation_curve_evaluates_each_term_once(self, samples, monkeypatch):
         calls = []
@@ -242,7 +249,7 @@ class TestPartialSums:
             return evaluate(term, coords)
 
         monkeypatch.setattr(FittedTerm, "evaluate", counted)
-        truncation_curve(objective_model("WP"), "WP", samples)
+        truncation_curve(objective_model("WP").fn(samples.original), "WP", samples)
         assert calls == list(load_design_equations()["WP"].terms)
 
     def test_evaluate_is_the_last_row(self):

@@ -21,8 +21,13 @@ import phonogap.cli
 tracer = Tracer()
 tracer.install()
 main = tracer.timed("cli.main", phonogap.cli.main)
-codes = [main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "spans": sorted({s[0] for s in tracer.spans if s})}))
+codes, counts = [], []
+for argv in json.loads(sys.argv[1]):
+    first = len(tracer.spans)
+    codes.append(main(argv))
+    metrics = tracer.pass_metrics(first)
+    counts.append({k: metrics[k] for k in ("crystal.model_rows", "sobol.model_calls")})
+print(json.dumps({"codes": codes, "counts": counts, "spans": sorted({s[0] for s in tracer.spans if s})}))
 """
 
 
@@ -34,6 +39,7 @@ def test_traced_commands_record_the_estimator_spans(tmp_path):
     commands = [
         ["sobol", "--target", "poly", "--n", "100", "--functions", "x1;x2,x3", "--grid", "4", "--inner", "4"],
         ["design", "--mode", "truncation", "--n", "50"],
+        ["design", "--mode", "error", "--n", "50"],
         ["bandgap", "--cell", str(cell)],
     ]
     commands = [[*argv, "--out", str(tmp_path / str(i))] for i, argv in enumerate(commands)]
@@ -43,8 +49,14 @@ def test_traced_commands_record_the_estimator_spans(tmp_path):
         check=True, capture_output=True, text=True, env=env,
     )
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["codes"] == [0, 0, 0]
+    print(report["counts"])
+    assert report["codes"] == [0, 0, 0, 0]
     assert {"sobol.function_1d", "sobol.function_2d", "cli.main"} <= set(report["spans"])
+    # each design command solves the 50 rows once per polarization; the
+    # error mode also calls the four surrogates, and each poly surface
+    # fits in one call
+    assert [c["crystal.model_rows"] for c in report["counts"]] == [0, 2 * 50, 2 * 50, 0]
+    assert [c["sobol.model_calls"] for c in report["counts"]] == [3, 2, 2 + 4, 0]
 
 
 def test_ci_runs_tier1_and_gates_each_benchmark_smoke_run():

@@ -1,11 +1,13 @@
 import csv
 import io
+import math
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import phonogap.sobol as sobol
 from phonogap.crystal import objective_model
 from phonogap.sampling import _lhs_matrix, canonical_space, lhs_sample
 from phonogap.sobol import (
@@ -271,6 +273,63 @@ class TestEvaluationFailures:
         np.testing.assert_array_equal(err.value.point, expected)
         message = f"model returned a non-finite value at sample 5: {expected.tolist()}"
         assert str(err.value) == message
+
+    def test_failure_in_a_surface_reports_its_row_within_its_line(self):
+        # the third node of the fourth grid line fails; lines may share a
+        # model call, but the row is counted within its own line
+        grid_points, inner, seed = 5, 4, 3
+        grid = (np.arange(grid_points) + 0.5) / grid_points
+
+        def fn(u):
+            out = np.sum(u, axis=1)
+            out[(u[:, 0] == grid[3]) & (u[:, 1] == grid[2])] = np.nan
+            return out
+
+        with pytest.raises(ModelEvaluationError) as err:
+            estimate_sobol_function_2d(ModelFunction(3, fn, name="nan-node"), 0, 1, grid_points, inner, seed=seed)
+        shared = _lhs_matrix(1, inner, np.random.default_rng(seed))
+        point = np.array([grid[3], grid[2], shared[0, 0]]).tolist()
+        assert str(err.value) == f"model returned a non-finite value at sample {2 * inner}: {point}"
+
+
+def _surface(model, axes, grid_points, inner, seed=4):
+    estimate = estimate_sobol_function_1d if len(axes) == 1 else estimate_sobol_function_2d
+    return estimate(model, *axes, grid_points, inner, seed=seed)
+
+
+class TestSurfaceCallBudget:
+    """Whole grid lines share a model call, up to ``_SURFACE_CALL_ROWS``
+    rows and at least one line: the split changes no bit of a surface."""
+
+    @pytest.mark.parametrize(
+        "make_model", [analytic_poly_model, lambda: objective_model("SS")], ids=["poly", "SS"]
+    )
+    @pytest.mark.parametrize("axes", [(1,), (1, 2)], ids=["1d", "2d"])
+    @pytest.mark.parametrize(
+        "call_rows, lines_per_call", [(1, 1), (3 * 7 * 4, 3), (10**9, 7)],
+        ids=["line-per-call", "three-lines-per-call", "one-call"],
+    )
+    def test_nodes_do_not_depend_on_the_call_budget(
+        self, make_model, axes, call_rows, lines_per_call, monkeypatch
+    ):
+        grid_points, inner = 7, 4
+        model = make_model()
+        default = _surface(model, axes, grid_points, inner)
+        calls = []
+
+        def fn(u):
+            calls.append(len(u))
+            return model.fn(u)
+
+        monkeypatch.setattr(sobol, "_SURFACE_CALL_ROWS", call_rows)
+        est = _surface(ModelFunction(model.n_dims, fn, model.name), axes, grid_points, inner)
+        assert np.array_equal(est.values, default.values) and est.f0 == default.f0
+        assert est.csv_text() == default.csv_text()
+        lines = grid_points ** (len(axes) - 1)
+        assert len(calls) == math.ceil(lines / lines_per_call)
+        assert calls == [
+            min(lines_per_call, lines - s) * grid_points * inner for s in range(0, lines, lines_per_call)
+        ]
 
 
 class TestSobolFunctions:
