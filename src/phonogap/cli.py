@@ -237,8 +237,11 @@ def _parse_point(text: str) -> np.ndarray:
     if len(values) != 5:
         raise ConfigError("a design point needs five comma-separated values")
     point = np.asarray(values)
-    if not (np.isfinite(point).all() and (point[:3] > 0.0).all()):
-        raise ConfigError(f"a design point needs finite values and positive ratios, got {text!r}")
+    nus = point[3:]  # nu = 0.5 makes the P modulus singular (Layer rejects it too)
+    if not (np.isfinite(point).all() and (point[:3] > 0.0).all() and ((nus >= 0.0) & (nus < 0.5)).all()):
+        raise ConfigError(
+            f"a design point needs finite values, positive ratios and Poisson's ratios in [0, 0.5), got {text!r}"
+        )
     return point
 
 

@@ -40,9 +40,9 @@ finished edges aside by index once a step finishes any.  The solver
 evaluates ``ht + 1`` in half-angle form, from one ``tan`` per phase
 (:func:`_bilayer_ht_slope`): numpy's float64 ``tan`` is SIMD code, its
 ``cos`` and ``sin`` scalar libm calls, so two ``tan`` calls cost less
-than two of each.  The gap decision,
-:func:`two_layer_half_trace` and the dispersion grid keep the cosine
-form.  Stacks of three or more layers have no such bracket, but the
+than two of each.  The same kernel makes the gap decision and serves
+:func:`two_layer_half_trace` and the dispersion grid.  Stacks of three
+or more layers have no such bracket, but the
 same oscillation theorem holds for any stack of layers with
 piecewise-constant properties: inside a gap the half
 trace keeps one sign, and across each band it runs monotonically from
@@ -300,7 +300,7 @@ def _bilayer_coefficients(
 
     ``a`` and ``b`` are the layer transit times, so ``a + b`` is the cell
     transit time, and the half trace is
-    ``p cos((a - b) w) + q cos((a + b) w)`` (:func:`_bilayer_ht`).  A row
+    ``p cos((a - b) w) + q cos((a + b) w)`` (:func:`_bilayer_ht_slope`).  A row
     whose layer-2 wave speed or impedance is zero or beyond the float
     range has no finite coefficients: the first such row raises
     :class:`ModelEvaluationError` with its index and point.
@@ -332,14 +332,8 @@ def _bilayer_coefficients(
     return 0.5 * (1.0 - zbar), 0.5 * (1.0 + zbar), a - b, a + b
 
 
-def _bilayer_ht(coeffs: tuple[np.ndarray, ...], omegas: np.ndarray | float) -> np.ndarray:
-    """The two-layer half trace, broadcast over coefficients and frequencies."""
-    p, q, diff, tot = coeffs
-    return p * np.cos(diff * omegas) + q * np.cos(tot * omegas)
-
-
 def _bilayer_ht_slope(
-    coeffs: tuple[np.ndarray, ...], omegas: np.ndarray
+    coeffs: tuple[np.ndarray, ...], omegas: np.ndarray | float
 ) -> tuple[np.ndarray, np.ndarray]:
     """``f = ht + 1`` of two-layer cells and its derivative in ``omega``,
     in half-angle form: as ``p + q = 1``,
@@ -373,12 +367,12 @@ def two_layer_half_trace(
     """Closed-form half trace of a two-layer cell.
 
     ``cos(phi1) cos(phi2) - (z1/z2 + z2/z1)/2 * sin(phi1) sin(phi2)``
-    with per-layer transit phases and impedances, in its product-to-sum
-    form; equal to the matrix product for any polarization.
+    with per-layer transit phases and impedances, as ``f - 1`` from
+    :func:`_bilayer_ht_slope`; equal to the matrix product for any polarization.
     """
     point = np.array([[e2_e1, rho2_rho1, h2_h1, nu1, nu2]], dtype=float)
     coeffs = _bilayer_coefficients(point, Polarization(pol))
-    return float(_bilayer_ht(coeffs, omega_hat)[0])
+    return float(_bilayer_ht_slope(coeffs, omega_hat)[0][0] - 1.0)
 
 
 def transit_time(cell: UnitCell, pol: Polarization) -> float:
@@ -398,7 +392,7 @@ def _ht_grid(cell: UnitCell, pol: Polarization) -> Callable[[np.ndarray], np.nda
         coeffs = _bilayer_coefficients(_bilayer_point(cell), Polarization(pol))
 
         def kernel(omegas: np.ndarray) -> np.ndarray:
-            return _bilayer_ht(coeffs, omegas)
+            return _bilayer_ht_slope(coeffs, omegas)[0] - 1.0
 
     else:
         speeds = [wave_speed(l, pol) for l in cell.layers]
@@ -587,7 +581,7 @@ def _bilayer_edges(points: np.ndarray, pol: Polarization, n_edges: int) -> np.nd
     time."""
     coeffs = _bilayer_coefficients(points, pol)
     bragg = np.pi / coeffs[3]
-    has_gap = _bilayer_ht(coeffs, bragg) + 1.0 < -_GAP_GUARD
+    has_gap = _bilayer_ht_slope(coeffs, bragg)[0] < -_GAP_GUARD
     # one bracket per edge of every gapped row, the starts before the ends;
     # ht + 1 > 0 at `outer` and < 0 at `inner` (the Bragg frequency)
     gapped = np.flatnonzero(has_gap)

@@ -23,7 +23,6 @@ from phonogap.crystal import (
     Polarization,
     UnitCell,
     _bilayer_coefficients,
-    _bilayer_ht,
     transit_time,
     wave_speed,
 )
@@ -130,20 +129,29 @@ def brute_force_first_gap(
         m += 1
 
 
+def cosine_half_trace(coeffs: tuple[np.ndarray, ...], omegas: np.ndarray | float) -> np.ndarray:
+    """The two-layer half trace ``p cos((a - b) w) + q cos((a + b) w)`` in
+    its cosine form, from the ``(p, q, a - b, a + b)`` of
+    :func:`phonogap.crystal._bilayer_coefficients`, broadcast over
+    coefficients and frequencies."""
+    p, q, diff, tot = coeffs
+    return p * np.cos(diff * omegas) + q * np.cos(tot * omegas)
+
+
 def bisect_bilayer_gaps(points: np.ndarray, pol: Polarization | str) -> tuple[np.ndarray, np.ndarray]:
     """First-gap ``(start, end)`` arrays of two-layer rows by bisection.
 
     Halves both Bragg brackets of every row together until no bracket
     shrinks any more (adjacent doubles, about 58 halvings), and returns
     each bracket's midpoint; NaN where ``ht(pi/tau) + 1`` is not below
-    ``-_GAP_GUARD``.  Slow but simple, it shares only the gap decision and
-    the coefficients with :func:`phonogap.crystal.bilayer_first_gaps`: it
-    reads its signs from the cosine form :func:`phonogap.crystal._bilayer_ht`,
-    so it cross-checks the solver's half-angle kernel against that form.
+    ``-_GAP_GUARD``.  Slow but simple, it shares only the coefficients
+    with :func:`phonogap.crystal.bilayer_first_gaps`: it makes the gap
+    decision and reads its signs from :func:`cosine_half_trace`, so it
+    cross-checks the solver's half-angle kernel against the cosine form.
     """
     coeffs = _bilayer_coefficients(points, Polarization(pol))
     bragg = np.pi / coeffs[3]
-    has_gap = _bilayer_ht(coeffs, bragg) + 1.0 < -_GAP_GUARD
+    has_gap = cosine_half_trace(coeffs, bragg) + 1.0 < -_GAP_GUARD
     # row 0 brackets the start, row 1 the end; ht + 1 > 0 at `outer` and
     # < 0 at `inner` (the Bragg frequency)
     outer = np.stack([np.zeros_like(bragg), 2.0 * bragg])
@@ -152,7 +160,7 @@ def bisect_bilayer_gaps(points: np.ndarray, pol: Polarization | str) -> tuple[np
         mid = 0.5 * (outer + inner)
         if not ((mid != outer) & (mid != inner)).any():
             break
-        positive = _bilayer_ht(coeffs, mid) + 1.0 > 0.0
+        positive = cosine_half_trace(coeffs, mid) + 1.0 > 0.0
         outer = np.where(positive, mid, outer)
         inner = np.where(positive, inner, mid)
     edges = np.where(has_gap, 0.5 * (outer + inner), np.nan)

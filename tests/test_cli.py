@@ -386,7 +386,16 @@ class TestDesignCommand:
         assert len(deltas) == 4
 
     @pytest.mark.parametrize(
-        "params", ["-1,2,2,0.2,0.2", "0,2,2,0.2,0.2", "nan,2,2,0.2,0.2", "1000,2,inf,0.2,0.2"]
+        "params",
+        [
+            "-1,2,2,0.2,0.2",
+            "0,2,2,0.2,0.2",
+            "nan,2,2,0.2,0.2",
+            "1000,2,inf,0.2,0.2",
+            "10,1,1,1e300,0.2",
+            "10,1,1,0.5,0.2",
+            "10,1,1,0.2,-0.1",
+        ],
     )
     def test_eval_rejects_invalid_point(self, tmp_path, capsys, params):
         code = main(["design", "--mode", "eval", f"--params={params}", "--out", str(tmp_path)])

@@ -20,7 +20,6 @@ from phonogap.crystal import (
     _SCAN_CAP_BRAGG,
     _SCAN_STEPS_PER_BRANCH,
     _bilayer_coefficients,
-    _bilayer_ht,
     _bilayer_ht_slope,
     _ht_grid,
     _refine_edges,
@@ -43,6 +42,7 @@ from phonogap.sobol import ModelEvaluationError
 from oracles import (
     bisect_bilayer_gaps,
     brute_force_first_gap,
+    cosine_half_trace,
     dispersion_reference_rows,
     ksection_edge,
     layer_matrix_oracle,
@@ -634,10 +634,33 @@ class TestBilayerFirstGaps:
             for scale in scales:
                 w = scale * bragg
                 f, slope = _bilayer_ht_slope(coeffs, w)
-                cosine_f = _bilayer_ht(coeffs, w) + 1.0
+                cosine_f = cosine_half_trace(coeffs, w) + 1.0
                 cosine_slope = -(p * diff * np.sin(diff * w) + q * tot * np.sin(tot * w))
                 assert np.all(np.abs(f - cosine_f) <= 4.0 * eps * (np.abs(p) + q + 1.0))
                 assert np.all(np.abs(slope - cosine_slope) <= 4.0 * eps * (np.abs(p * diff) + q * tot))
+
+    @pytest.mark.parametrize("pol", ["S", "P"])
+    def test_half_angle_kernel_matches_50_digit_cosine_form(self, pol):
+        # f = ht + 1 of the one kernel against p cos((a-b) w) + q cos((a+b) w)
+        # + 1 evaluated at 50 digits from the same float coefficients and
+        # frequencies, on canonical and near-homogeneous rows, at the
+        # decision frequency pi/tau and inside both brackets (2.1 measured)
+        mpmath = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        samples = lhs_sample(5, 100, 0)
+        canonical = map_to_space(np.vstack([samples.original, samples.complementary]), canonical_space())
+        points = np.vstack([canonical, near_homogeneous_points()[:200]])
+        coeffs = _bilayer_coefficients(points, Polarization(pol))
+        bragg = np.pi / coeffs[3]
+        with mpmath.workdps(50):
+            for scale in (0.3, 0.9, 1.0, 1.1, 1.7):
+                w = scale * bragg
+                f, _ = _bilayer_ht_slope(coeffs, w)
+                for row in range(len(points)):
+                    p, q, diff, tot, wm = (mpmath.mpf(float(c[row])) for c in (*coeffs, w))
+                    exact = p * mpmath.cos(diff * wm) + q * mpmath.cos(tot * wm) + 1
+                    error = abs(mpmath.mpf(float(f[row])) - exact)
+                    assert error <= 4.0 * eps * (abs(p) + q + 1), (row, scale)
 
     @pytest.mark.parametrize("pol", ["S", "P"])
     def test_start_objective_solves_the_start_brackets_alone(self, pol):
