@@ -341,7 +341,13 @@ def _bilayer_ht_slope(
     the tangent of a half phase, ``cos^2 = 1/(1 + u^2)`` and
     ``sin cos = u/(1 + u^2)``, at most 1/2, so one ``tan`` per phase
     replaces a ``cos`` and a ``sin`` (numpy's float64 ``tan`` is SIMD
-    code, its ``cos`` and ``sin`` are scalar libm calls)."""
+    code, its ``cos`` and ``sin`` are scalar libm calls).  The slope
+    term ``p (a - b)`` overflows once ``|p| (a - b)`` passes the float
+    range, which finite layer-2 ratios reach (E2/E1 = 1e-310), so every
+    caller evaluates the kernel under ``np.errstate``: the gap decision
+    and the half trace discard the slope, and the Newton solver's
+    safeguard takes the bracket midpoint where its Newton point is not
+    finite."""
     p, q, diff, tot = coeffs
     u, v = np.tan(0.5 * diff * omegas), np.tan(0.5 * tot * omegas)
     cu, cv = 1.0 / (1.0 + u * u), 1.0 / (1.0 + v * v)
@@ -372,7 +378,9 @@ def two_layer_half_trace(
     """
     point = np.array([[e2_e1, rho2_rho1, h2_h1, nu1, nu2]], dtype=float)
     coeffs = _bilayer_coefficients(point, Polarization(pol))
-    return float(_bilayer_ht_slope(coeffs, omega_hat)[0][0] - 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # the unused slope may overflow
+        f = _bilayer_ht_slope(coeffs, omega_hat)[0][0]
+    return float(f - 1.0)
 
 
 def transit_time(cell: UnitCell, pol: Polarization) -> float:
@@ -549,27 +557,29 @@ def _newton_roots(
     tol = 4.0 * np.finfo(float).eps * (np.abs(coeffs[0]) + coeffs[1] + 1.0)
     todo = np.arange(step.size)
     found = np.empty(step.size)
-    for steps_left in reversed(range(_SOLVER_STEPS_MAX)):
-        w = step
-        f, slope = _bilayer_ht_slope(coeffs, w)
-        positive = f > 0.0
-        outer = np.where(positive, w, outer)
-        inner = np.where(positive, inner, w)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # a slope may overflow or be zero: the Newton point is then not
+    # finite, and the safeguard takes the midpoint
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for steps_left in reversed(range(_SOLVER_STEPS_MAX)):
+            w = step
+            f, slope = _bilayer_ht_slope(coeffs, w)
+            positive = f > 0.0
+            outer = np.where(positive, w, outer)
+            inner = np.where(positive, inner, w)
             newton = w - f / slope
-        inside = (np.minimum(outer, inner) < newton) & (newton < np.maximum(outer, inner))
-        step = np.where(inside, newton, 0.5 * (outer + inner))
-        going = (np.abs(f) > tol) & (step != w)
-        if not steps_left:
-            break
-        if not going.all():
-            done = np.flatnonzero(~going)
-            found[todo[done]] = w[done]
-            if done.size == w.size:
-                return found
-            keep = np.flatnonzero(going)
-            todo, step, outer, inner, tol = (x[keep] for x in (todo, step, outer, inner, tol))
-            coeffs = tuple(c[keep] for c in coeffs)
+            inside = (np.minimum(outer, inner) < newton) & (newton < np.maximum(outer, inner))
+            step = np.where(inside, newton, 0.5 * (outer + inner))
+            going = (np.abs(f) > tol) & (step != w)
+            if not steps_left:
+                break
+            if not going.all():
+                done = np.flatnonzero(~going)
+                found[todo[done]] = w[done]
+                if done.size == w.size:
+                    return found
+                keep = np.flatnonzero(going)
+                todo, step, outer, inner, tol = (x[keep] for x in (todo, step, outer, inner, tol))
+                coeffs = tuple(c[keep] for c in coeffs)
     found[todo] = w
     return found
 
@@ -581,7 +591,8 @@ def _bilayer_edges(points: np.ndarray, pol: Polarization, n_edges: int) -> np.nd
     time."""
     coeffs = _bilayer_coefficients(points, pol)
     bragg = np.pi / coeffs[3]
-    has_gap = _bilayer_ht_slope(coeffs, bragg)[0] < -_GAP_GUARD
+    with np.errstate(over="ignore", invalid="ignore"):  # the unused slope may overflow
+        has_gap = _bilayer_ht_slope(coeffs, bragg)[0] < -_GAP_GUARD
     # one bracket per edge of every gapped row, the starts before the ends;
     # ht + 1 > 0 at `outer` and < 0 at `inner` (the Bragg frequency)
     gapped = np.flatnonzero(has_gap)

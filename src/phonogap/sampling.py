@@ -177,7 +177,7 @@ def map_to_space(u: np.ndarray, space: ParameterSpace) -> np.ndarray:
         raise ValueError(f"expected {space.n_dims} coordinates, got {pts.shape[1]}")
     if pts.min() < 0.0 or pts.max() > 1.0:
         raise ValueError("unit-hypercube coordinates must lie in [0, 1]")
-    out = np.empty_like(pts)
+    out = np.empty_like(pts)  # keeps a column-major input's layout: contiguous column writes
     for d, dim in enumerate(space.dims):
         if dim.scale == "linear":
             out[:, d] = dim.lower + pts[:, d] * (dim.upper - dim.lower)

@@ -22,7 +22,9 @@ smaller for dominant indices.  Small negative estimates are Monte Carlo
 noise and are reported raw.
 
 All ``1 + d + d(d-1)/2`` matrices of a study are stacked and evaluated
-in one model call.
+in one model call.  Every point block handed to a model is stored column
+by column, so both its fill and the model's reads of one input are
+contiguous.
 
 Pointwise Sobol' functions (the conditional-mean components of the
 ANOVA decomposition) of one or two frozen axes come from one estimator
@@ -86,6 +88,9 @@ class ModelFunction:
     output.  It must be side-effect free and row-pure: the value of row
     ``r`` may depend only on row ``r``, which is what makes stacked
     evaluation exact.  The Sobol' estimators take single-output models.
+    The estimators lay the matrix out column by column (the transposed
+    view of an ``(n_dims, m)`` array), so ``fn`` must not assume
+    row-major memory; reading one input column at a time is contiguous.
     """
 
     n_dims: int
@@ -96,8 +101,9 @@ class ModelFunction:
 def _evaluate(model: ModelFunction, matrix: np.ndarray) -> np.ndarray:
     """Evaluate ``model`` on every row in one call, as an ``(m,)`` vector or,
     for a model with several outputs, an ``(m, k)`` matrix; reject a row
-    with any non-finite value."""
-    matrix = np.ascontiguousarray(matrix, dtype=float)
+    with any non-finite value.  ``matrix`` reaches the model in its own
+    memory layout, column by column for the engine's point blocks."""
+    matrix = np.asarray(matrix, dtype=float)
     values = np.asarray(model.fn(matrix), dtype=float)
     values = values.reshape((matrix.shape[0], -1) if values.ndim == 2 else matrix.shape[0])
     bad = ~np.isfinite(values)
@@ -118,15 +124,15 @@ def _check_dims(model: ModelFunction, samples: SampleSet) -> None:
 
 def _stacked_matrix(samples: SampleSet, frozen_sets: Sequence[Sequence[int]]) -> np.ndarray:
     """The original matrix, then one complementary matrix per entry of
-    ``frozen_sets`` with those columns taken from the original."""
-    n = samples.n_samples
-    stacked = np.empty(((1 + len(frozen_sets)) * n, samples.n_dims))
-    stacked[:n] = samples.original
-    for k, frozen in enumerate(frozen_sets, start=1):
-        block = stacked[k * n:(k + 1) * n]
-        block[:] = samples.complementary
-        block[:, list(frozen)] = samples.original[:, list(frozen)]
-    return stacked
+    ``frozen_sets`` with those columns taken from the original, as the
+    ``(rows, n_dims)`` view of a matrix stored column by column."""
+    n, n_dims = samples.n_samples, samples.n_dims
+    original, complementary = samples.original.T.copy(), samples.complementary.T.copy()
+    stacked = np.empty((n_dims, 1 + len(frozen_sets), n))
+    for k, frozen in enumerate([range(n_dims), *frozen_sets]):
+        for d in range(n_dims):
+            stacked[d, k] = original[d] if d in frozen else complementary[d]
+    return stacked.reshape(n_dims, -1).T
 
 
 @dataclass(frozen=True)
@@ -299,13 +305,15 @@ class SobolFunctionEstimate:
     def csv_text(self) -> str:
         """Header ``u<axis>[,u<axis>],value`` and one line per grid node,
         in row-major order of ``values``.  Each grid coordinate is
-        formatted once; ``%.17g`` formats as ``format(x, ".17g")`` does,
-        so every float round-trips."""
+        formatted once, and the node labels are joined once into the
+        table's template, so one ``%`` operation formats every value;
+        ``%.17g`` formats as ``format(x, ".17g")`` does, so every float
+        round-trips and no label holds a ``%``."""
         coords = [["%.17g" % g for g in grid.tolist()] for grid in self.grids]
-        return ",".join(f"u{a}" for a in self.axes) + ",value\n" + "".join([
-            "%s,%.17g\n" % (",".join(node), v)
-            for node, v in zip(itertools.product(*coords), self.values.ravel().tolist())
-        ])
+        labels = [",".join(node) for node in itertools.product(*coords)]
+        template = ",%.17g\n".join(labels) + ",%.17g\n"
+        header = ",".join(f"u{a}" for a in self.axes) + ",value\n"
+        return header + template % tuple(self.values.ravel().tolist())
 
 
 def _midpoint_grid(n: int) -> np.ndarray:
@@ -332,16 +340,19 @@ def _conditional_means(
     one model call.
 
     Row ``a`` of ``nodes`` fixes the coordinates ``axes``; the remaining
-    dimensions, in increasing order, take the columns of ``inner``.  The
-    nodes form whole grid lines of ``line`` nodes each, and a failing row
-    is reported by its index within its own line.
+    dimensions, in increasing order, take the columns of ``inner``; the
+    points are stored column by column.  The nodes form whole grid lines
+    of ``line`` nodes each, and a failing row is reported by its index
+    within its own line.
     """
     rest = [k for k in range(model.n_dims) if k not in axes]
-    pts = np.empty((len(nodes), len(inner), model.n_dims))
-    pts[:, :, rest] = inner
-    pts[:, :, list(axes)] = nodes[:, None, :]
+    pts = np.empty((model.n_dims, len(nodes), len(inner)))
+    for k, axis in enumerate(axes):
+        pts[axis] = nodes[:, k, None]
+    for k, dim in enumerate(rest):
+        pts[dim] = inner[:, k]
     try:
-        values = _evaluate(model, pts.reshape(-1, model.n_dims))
+        values = _evaluate(model, pts.reshape(model.n_dims, -1).T)
     except ModelEvaluationError as err:
         rows = line * len(inner)
         raise ModelEvaluationError(err.index % rows, err.point, err.message) from err

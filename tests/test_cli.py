@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -171,6 +172,24 @@ class TestBandgapCommand:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: malformed cell file") and "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["cell.json"]
+
+    def test_slope_overflow_exits_0_without_a_warning(self, tmp_path, capsys):
+        # |p| (a - b) of this cell, about 1/(2 E2/E1), is beyond the float
+        # range: the gap decision discards the slope that overflows, and the
+        # Newton safeguard bisects wherever the Newton point is not finite
+        path = tmp_path / "cell.json"
+        path.write_text(
+            '{"layers": [{"h": 1, "rho": 1, "e": 1, "nu": 0.2}, {"h": 1, "rho": 1e-306, "e": 1e-310, "nu": 0.2}]}'
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["bandgap", "--cell", str(path), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        cell = UnitCell.from_json(path.read_text())
+        gaps = json.loads((tmp_path / "bandgap_summary.json").read_text())["first_band_gap"]
+        for pol in ("S", "P"):
+            bragg = math.pi / transit_time(cell, Polarization(pol))
+            assert 0.0 < gaps[pol]["start"] < bragg < gaps[pol]["end"] < 2.0 * bragg
 
     @pytest.mark.parametrize(
         "layers, sample",

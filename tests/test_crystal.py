@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -238,6 +239,15 @@ class TestHalfTrace:
         closed = two_layer_half_trace(e, rho, h, nu1, nu2, omega, pol)
         product = half_trace(cell, omega, pol)
         assert closed == pytest.approx(product, abs=1e-10 * max(1.0, abs(product)))
+
+    def test_slope_overflow_leaves_no_warning(self):
+        # E2/E1 = 1e-310: |p| (a - b), about 1/(2 E2/E1), is beyond the
+        # float range; the half trace discards that slope term silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            closed = two_layer_half_trace(1e-310, 1e-306, 1.0, 0.2, 0.2, 1.0, Polarization.S)
+        product = half_trace(two_layer_cell(1e-310, 1e-306, 1.0, 0.2, 0.2), 1.0, Polarization.S)
+        assert closed == pytest.approx(product, rel=1e-12)
 
     def test_equal_layers_reduce_to_cosine(self):
         c = wave_speed(Layer(1.0, 1.0, 1.0, 0.2), Polarization.S)

@@ -292,6 +292,34 @@ class TestEvaluationFailures:
         assert str(err.value) == f"model returned a non-finite value at sample {2 * inner}: {point}"
 
 
+class TestPointLayout:
+    def test_models_receive_points_column_by_column(self):
+        # every block the engine builds is the (rows, n_dims) view of a
+        # matrix stored column by column; a model that copies its points
+        # into row-major order gets the same values
+        poly = analytic_poly_model()
+        seen = []
+
+        def fn(u):
+            seen.append(u.flags.f_contiguous)
+            return poly.fn(u)
+
+        def row_major(u):
+            return poly.fn(np.ascontiguousarray(u))
+
+        samples = lhs_sample(3, 64, 5)
+        results = [
+            (
+                sobol_indices(model, samples).csv_text(),
+                estimate_sobol_function_1d(model, 1, 7, 4).csv_text(),
+                estimate_sobol_function_2d(model, 0, 2, 7, 4).csv_text(),
+            )
+            for model in (ModelFunction(3, fn, poly.name), ModelFunction(3, row_major, poly.name))
+        ]
+        assert seen == [True, True, True]
+        assert results[0] == results[1]
+
+
 def _surface(model, axes, grid_points, inner, seed=4):
     estimate = estimate_sobol_function_1d if len(axes) == 1 else estimate_sobol_function_2d
     return estimate(model, *axes, grid_points, inner, seed=seed)
