@@ -30,7 +30,6 @@ from .crystal import (
     DispersionCurve,
     GapNotClosedError,
     Layer,
-    NoBandGapError,
     ObjectiveKind,
     Polarization,
     UnitCell,

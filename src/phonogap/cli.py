@@ -2,13 +2,14 @@
 studies and design-equation checks, exported as plot-ready CSV/JSON.
 
 Every command is reproducible: identical configuration and seed yield
-byte-identical output files.  ``--threads`` is accepted and has no
-effect: every model evaluation runs in one thread.
+byte-identical output files on one numpy build and SIMD dispatch
+target.  ``--threads`` is accepted and has no effect: every model
+evaluation runs in one thread.
 Exit codes: 0 success, 1 numerical failure (a gap-free cell where a gap
 is required, a sampled cell whose wave speed or impedance leaves the
 float range, a gap the general scan cannot close, or a non-finite
-dispersion half trace), 2 configuration errors, an output path that
-cannot be written among them.
+dispersion half trace), 2 configuration errors, an option the command
+would ignore and an output path that cannot be written among them.
 """
 from __future__ import annotations
 
@@ -178,6 +179,8 @@ def _parse_function_requests(spec: str | None, names: tuple[str, ...]) -> list[t
 def cmd_sobol(args: argparse.Namespace) -> int:
     if args.n < 100:
         raise ConfigError("sensitivity studies need --n of at least 100")
+    if args.target == "poly" and args.space is not None:
+        raise ConfigError("--space applies to the band-gap targets, not to --target poly")
     out = _out_dir(args)
     if args.target == "poly":
         model = analytic_poly_model()
@@ -256,6 +259,8 @@ def _exact_columns(kinds: list[str], samples: SampleSet) -> Iterator[tuple[str, 
 
 
 def cmd_design(args: argparse.Namespace) -> int:
+    if args.mode != "eval" and args.params is not None:
+        raise ConfigError(f"--params applies to --mode eval, not to --mode {args.mode}")
     out = _out_dir(args)
     kinds = list(KINDS) if args.kind == "all" else [args.kind]
     if args.mode == "eval":

@@ -38,15 +38,16 @@ alone, so the start objectives solve only the start brackets and get the
 same bits, and the solver takes the brackets in blocks of 8192 and sets
 finished edges aside by index once a step finishes any.  The solver
 evaluates ``ht + 1`` in half-angle form, from one ``tan`` per phase
-(:func:`_bilayer_ht_slope`): numpy's float64 ``tan`` is SIMD code, its
-``cos`` and ``sin`` scalar libm calls, so two ``tan`` calls cost less
-than two of each.  The same kernel makes the gap decision and serves
-:func:`two_layer_half_trace` and the dispersion grid.  Stacks of three
-or more layers have no such bracket, but the
-same oscillation theorem holds for any stack of layers with
-piecewise-constant properties: inside a gap the half
-trace keeps one sign, and across each band it runs monotonically from
-one sign to the other.  A grid scan takes the sign at its first gap
+(:func:`_bilayer_ht_slope`), so two ``tan`` calls replace two ``cos``
+and two ``sin``.  On numpy's AVX-512 dispatch float64 ``tan`` is SIMD
+code at about a fifth of the cost of a ``cos``; on AVX2 it costs about
+one ``cos``, and the two ``sin`` calls are still saved.  The same
+kernel makes the gap decision and serves :func:`two_layer_half_trace`
+and the dispersion grid.  Stacks of three or more layers have no such
+bracket, but the same oscillation theorem holds for any stack of layers
+with piecewise-constant properties: inside a gap the half trace keeps
+one sign, and across each band it runs monotonically from one sign to
+the other.  A grid scan takes the sign at its first gap
 sample and ends the gap at the first later sample that is not beyond one
 with that sign, so a passband narrower than the scan step still closes
 it; both edges the scan brackets are then refined together by k-section
@@ -54,16 +55,15 @@ to adjacent doubles.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .sampling import ParameterSpace, canonical_space, map_to_space
+from .sampling import NU_CAP, ParameterSpace, canonical_space, map_to_space
 from .sobol import ModelEvaluationError, ModelFunction
 
 __all__ = [
@@ -74,7 +74,6 @@ __all__ = [
     "UnitCell",
     "BandGap",
     "DispersionCurve",
-    "NoBandGapError",
     "GapNotClosedError",
     "wave_speed",
     "layer_transfer_matrix",
@@ -89,10 +88,6 @@ __all__ = [
     "objective",
     "objective_model",
 ]
-
-#: Upper bound on Poisson's ratio accepted by :class:`Layer`.  Beyond it
-#: the first Lame parameter blows up towards the incompressible limit.
-NU_CAP = 0.463
 
 #: Excursions of |half_trace| above one smaller than this are treated as
 #: rounding noise by the gap solvers, not as band gaps.  Physical gaps
@@ -137,14 +132,6 @@ class ObjectiveKind(str, Enum):
     @property
     def is_width(self) -> bool:
         return self.value.startswith("W")
-
-
-class NoBandGapError(RuntimeError):
-    """The cell has no first band gap; carries the offending parameters."""
-
-    def __init__(self, message: str, params: Sequence[float] | None = None):
-        self.params = None if params is None else tuple(float(p) for p in params)
-        super().__init__(message if self.params is None else f"{message} (params={self.params})")
 
 
 class GapNotClosedError(RuntimeError):
@@ -341,13 +328,13 @@ def _bilayer_ht_slope(
     the tangent of a half phase, ``cos^2 = 1/(1 + u^2)`` and
     ``sin cos = u/(1 + u^2)``, at most 1/2, so one ``tan`` per phase
     replaces a ``cos`` and a ``sin`` (numpy's float64 ``tan`` is SIMD
-    code, its ``cos`` and ``sin`` are scalar libm calls).  The slope
-    term ``p (a - b)`` overflows once ``|p| (a - b)`` passes the float
-    range, which finite layer-2 ratios reach (E2/E1 = 1e-310), so every
-    caller evaluates the kernel under ``np.errstate``: the gap decision
-    and the half trace discard the slope, and the Newton solver's
-    safeguard takes the bracket midpoint where its Newton point is not
-    finite."""
+    code on the AVX-512 dispatch, far cheaper than ``cos``; on AVX2 it
+    costs about one ``cos``).  The slope term ``p (a - b)`` overflows
+    once ``|p| (a - b)`` passes the float range, which finite layer-2
+    ratios reach (E2/E1 = 1e-310), so every caller evaluates the kernel
+    under ``np.errstate``: the gap decision and the half trace discard
+    the slope, and the Newton solver's safeguard takes the bracket
+    midpoint where its Newton point is not finite."""
     p, q, diff, tot = coeffs
     u, v = np.tan(0.5 * diff * omegas), np.tan(0.5 * tot * omegas)
     cu, cv = 1.0 / (1.0 + u * u), 1.0 / (1.0 + v * v)
@@ -646,59 +633,39 @@ def _scan_first_gap(cell: UnitCell, pol: Polarization) -> BandGap | None:
     tau = transit_time(cell, pol)
     step = math.pi / (_SCAN_STEPS_PER_BRANCH * tau)
     n_max = int(math.floor(_SCAN_CAP_BRAGG * math.pi / tau / step))
-
-    def chunks(k: int, last: int) -> Iterator[tuple[int, np.ndarray]]:
-        """``(k, half traces)`` of the grid samples ``k..last``, 256 at a
-        time; a non-finite half trace is reported by its grid index."""
-        while k <= last:
-            stop = min(k + 256, last + 1)
-            try:
-                values = grid(step * np.arange(k, stop))
-            except ModelEvaluationError as err:
-                raise ModelEvaluationError(k + err.index, err.point, err.message) from err
-            yield k, values
-            k = stop
-
-    def first_hit(
-        samples: Iterable[tuple[int, np.ndarray]], hit: Callable[[np.ndarray], np.ndarray]
-    ) -> tuple[int, np.ndarray] | None:
-        """The first grid index where ``hit`` holds for the half trace, and
-        the half traces of its chunk from that index on; None if there is
-        none."""
-        for k, values in samples:
-            found = hit(values)
-            if found.any():
-                j = int(np.argmax(found))
-                return k + j, values[j:]
+    # One forward walk over the grid samples k..stop-1, 256 per call: up to
+    # n_max for the first sample beyond one, whose sign the gap keeps, then
+    # on to 4 n_max for the end.
+    k, last, entry = 1, n_max, None
+    while k <= last:
+        stop = min(k + 256, last + 1)
+        try:
+            values = grid(step * np.arange(k, stop))
+        except ModelEvaluationError as err:
+            raise ModelEvaluationError(k + err.index, err.point, err.message) from err
+        j = 0
+        if entry is None and (beyond := np.abs(values) > 1.0 + _GAP_GUARD).any():
+            # half_trace -> 1 as omega -> 0, so the sample before the first
+            # gap sample (0 at worst) is outside the gap
+            j = int(np.argmax(beyond))
+            sign, last = math.copysign(1.0, values[j]), 4 * n_max
+            entry = (step * (k + j - 1), step * (k + j), True)
+        # A gap keeps its sign and each band is monotone (module docstring), so
+        # the first sample not beyond one with that sign lies past the gap end,
+        # even where the passband in between is narrower than the scan step.
+        if entry is not None and (past := sign * values[j:] <= 1.0 + _GAP_GUARD).any():
+            e = k + j + int(np.argmax(past))
+            start, end = _refine_edges(grid, sign, [entry, (step * (e - 1), step * e, False)])
+            return BandGap(start=start, end=end)
+        k = stop
+    if entry is None:
         return None
-
-    hit = first_hit(chunks(1, n_max), lambda v: np.abs(v) > 1.0 + _GAP_GUARD)
-    if hit is None:
-        return None
-    i, values = hit
-    # half_trace -> 1 as omega -> 0, so the sample before the first gap
-    # sample (0 at worst) is outside the gap
-    sign = math.copysign(1.0, values[0])
-    entry = (step * (i - 1), step * i, True)
-
-    # A gap keeps its sign and each band is monotone (module docstring), so
-    # the first sample not beyond one with that sign lies past the gap end,
-    # even where the passband in between is narrower than the scan step.
-    # The search reads the rest of the start's chunk first.
-    hit = first_hit(
-        itertools.chain([(i + 1, values[1:])], chunks(i + len(values), 4 * n_max)),
-        lambda v: sign * v <= 1.0 + _GAP_GUARD,
+    (start,) = _refine_edges(grid, sign, [entry])
+    layers = [(l.h_hat, l.rho_hat, l.e_hat, l.nu) for l in cell.layers]
+    raise GapNotClosedError(
+        f"{pol.value}-wave band gap starting at omega_hat={start:.17g} did not close "
+        f"below four search caps (layers h, rho, E, nu: {layers})"
     )
-    if hit is None:
-        (start,) = _refine_edges(grid, sign, [entry])
-        layers = [(l.h_hat, l.rho_hat, l.e_hat, l.nu) for l in cell.layers]
-        raise GapNotClosedError(
-            f"{pol.value}-wave band gap starting at omega_hat={start:.17g} did not close "
-            f"below four search caps (layers h, rho, E, nu: {layers})"
-        )
-    j = hit[0]
-    start, end = _refine_edges(grid, sign, [entry, (step * (j - 1), step * j, False)])
-    return BandGap(start=start, end=end)
 
 
 def first_band_gap(cell: UnitCell, pol: Polarization | str) -> BandGap | None:
@@ -732,10 +699,16 @@ def first_band_gap(cell: UnitCell, pol: Polarization | str) -> BandGap | None:
 
 def _objective_values(points: np.ndarray, *kinds: ObjectiveKind) -> np.ndarray:
     """Objectives of every row from one solve, as a vector for one kind and
-    an ``(m, k)`` matrix for ``k`` kinds of one polarization; NaN where the
-    cell has no gap.  Start objectives alone solve only the start
-    brackets."""
+    an ``(m, k)`` matrix for ``k`` kinds of one polarization.  Start
+    objectives alone solve only the start brackets.  The first row
+    without a gap raises :class:`ModelEvaluationError` with its index and
+    point."""
     edges = _bilayer_edges(points, kinds[0].polarization, 2 if any(k.is_width for k in kinds) else 1)
+    # gap-free rows, and only they, hold NaN edges
+    missing = np.isnan(edges[0])
+    if missing.any():
+        r = int(np.argmax(missing))
+        raise ModelEvaluationError(r, points[r], "no first band gap")
     columns = [edges[1] - edges[0] if k.is_width else edges[0] for k in kinds]
     return columns[0] if len(columns) == 1 else np.column_stack(columns)
 
@@ -745,13 +718,10 @@ def objective(params: Sequence[float], kind: ObjectiveKind | str) -> float:
 
     ``params`` is the five-vector (E2/E1, rho2/rho1, h2/h1, nu1, nu2);
     ``kind`` selects start or width for either polarization.  Raises
-    :class:`NoBandGapError` when the cell has no first gap (equal layers,
-    for instance).
+    :class:`ModelEvaluationError` at sample 0, with the point, when the
+    cell has no first gap (equal layers, for instance).
     """
-    value = float(_objective_values(np.array([params], dtype=float), ObjectiveKind(kind))[0])
-    if math.isnan(value):
-        raise NoBandGapError("no first band gap", params)
-    return value
+    return float(_objective_values(np.array([params], dtype=float), ObjectiveKind(kind))[0])
 
 
 def objective_model(*kinds: ObjectiveKind | str, space: ParameterSpace | None = None) -> ModelFunction:
@@ -790,13 +760,7 @@ def objective_model(*kinds: ObjectiveKind | str, space: ParameterSpace | None = 
             )
 
     def fn(u: np.ndarray) -> np.ndarray:
-        pts = map_to_space(u, space)
-        values = _objective_values(pts, *kinds)
-        missing = np.isnan(values).reshape(len(pts), -1).any(axis=1)
-        if missing.any():
-            r = int(np.argmax(missing))
-            raise ModelEvaluationError(r, pts[r], "no first band gap")
-        return values
+        return _objective_values(map_to_space(u, space), *kinds)
 
     name = "bandgap-" + ",".join(kind.value for kind in kinds)
     return ModelFunction(n_dims=space.n_dims, fn=fn, name=name)

@@ -17,6 +17,11 @@ import numpy as np
 #: SeedSequence, so a single 64-bit seed reproduces the whole experiment.
 GENERATOR_NAME = "pcg64"
 
+#: Upper bound on Poisson's ratio, of the canonical space and of every
+#: layer.  Beyond it the first Lame parameter blows up towards the
+#: incompressible limit.
+NU_CAP = 0.463
+
 _SCALES = ("linear", "log10")
 
 
@@ -87,16 +92,16 @@ def canonical_space() -> ParameterSpace:
     """Five-parameter design space of a two-layer unit cell.
 
     Moduli, density and thickness ratios are log10-uniform; the two
-    Poisson's ratios are linear, capped at 0.463 to keep the first Lame
-    parameter finite with margin.
+    Poisson's ratios are linear, capped at :data:`NU_CAP` to keep the
+    first Lame parameter finite with margin.
     """
     return ParameterSpace(
         (
             ParameterDef("E2/E1", 10.0, 10000.0, "log10"),
             ParameterDef("rho2/rho1", 1.0, 1000.0, "log10"),
             ParameterDef("h2/h1", 0.11, 9.0, "log10"),
-            ParameterDef("nu1", 0.0, 0.463, "linear"),
-            ParameterDef("nu2", 0.0, 0.463, "linear"),
+            ParameterDef("nu1", 0.0, NU_CAP, "linear"),
+            ParameterDef("nu2", 0.0, NU_CAP, "linear"),
         )
     )
 

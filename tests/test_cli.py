@@ -289,6 +289,14 @@ class TestSobolCommand:
         assert code == 2
         assert "at least 100" in capsys.readouterr().err
 
+    def test_space_with_the_polynomial_exits_2(self, tmp_path, capsys):
+        # the polynomial has its own space: a --space file would go unread
+        argv = ["sobol", "--target", "poly", "--n", "100", "--space", str(tmp_path / "absent.json")]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: --space applies to the band-gap targets, not to --target poly\n"
+        assert not (tmp_path / "out").exists()
+
     @staticmethod
     def run_with_space(tmp_path, dims, target="SS"):
         space_file = tmp_path / "space.json"
@@ -382,6 +390,14 @@ class TestDesignCommand:
         code = main(["design", "--mode", "eval", "--out", str(tmp_path)])
         assert code == 2
         assert "--params" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["error", "truncation"])
+    def test_params_outside_eval_mode_exit_2(self, tmp_path, capsys, mode):
+        argv = ["design", "--mode", mode, "--params", "1,2,3", "--n", "50", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: --params applies to --mode eval, not to --mode {mode}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_error_mode(self, tmp_path):
         code = main(

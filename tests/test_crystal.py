@@ -13,7 +13,6 @@ from phonogap.crystal import (
     NU_CAP,
     BandGap,
     Layer,
-    NoBandGapError,
     ObjectiveKind,
     Polarization,
     UnitCell,
@@ -368,6 +367,25 @@ def recording(grid, calls: list):
     return wrapped
 
 
+def scan_calls(monkeypatch, cell: UnitCell, pol: Polarization):
+    """``first_band_gap`` of a stack, the grid indices of each of its scan
+    calls (those on multiples of the scan step, before the edge
+    refinement), the scan step and the start search cap ``n_max``."""
+    calls = []
+    monkeypatch.setattr(crystal, "_ht_grid", lambda c, p: recording(_ht_grid(c, p), calls))
+    gap = first_band_gap(cell, pol)
+    tau = transit_time(cell, pol)
+    step = math.pi / (_SCAN_STEPS_PER_BRANCH * tau)
+    n_max = int(math.floor(_SCAN_CAP_BRAGG * math.pi / tau / step))
+    scans = []
+    for omegas in calls:
+        k = np.rint(omegas / step)
+        if not np.array_equal(omegas, step * k):
+            break
+        scans.append(k.astype(int))
+    return gap, scans, step, n_max
+
+
 def assert_gap_keeps_one_sign(grid, gap: BandGap) -> None:
     """200 interior samples of the gap share one sign of the half trace,
     beyond one in magnitude."""
@@ -454,6 +472,30 @@ class TestGeneralScan:
         for pol in (Polarization.S, Polarization.P):
             assert first_band_gap(cell, pol) is None
             assert brute_force_first_gap(cell, pol) is None
+
+    def test_scan_reads_each_sample_once_in_calls_of_256(self, monkeypatch):
+        rng = np.random.default_rng(20261020)
+        for cell in [THREE_LAYER_CELL] + [random_stack(rng) for _ in range(5)]:
+            for pol in (Polarization.S, Polarization.P):
+                gap, scans, step, n_max = scan_calls(monkeypatch, cell, pol)
+                for k in scans:
+                    assert 1 <= k.size <= 256 and np.array_equal(k, np.arange(k[0], k[0] + k.size))
+                # one forward walk from sample 1: no sample twice, and the
+                # end search goes on where the start's call ended
+                samples = np.concatenate(scans)
+                assert np.array_equal(samples, np.arange(1, samples.size + 1))
+                i, j = math.ceil(gap.start / step), math.ceil(gap.end / step)
+                at_start = next(n for n, k in enumerate(scans) if i in k)
+                assert i < j <= 4 * n_max and scans[at_start][-1] <= n_max
+                assert j in scans[-1]
+
+    def test_gap_free_scan_reads_the_samples_up_to_its_cap(self, monkeypatch):
+        cell = UnitCell(tuple(Layer(h, 1.0, 1.0, 0.3) for h in (0.2, 0.5, 0.3)))
+        for pol in (Polarization.S, Polarization.P):
+            gap, scans, _, n_max = scan_calls(monkeypatch, cell, pol)
+            assert gap is None
+            assert all(k.size <= 256 for k in scans)
+            assert np.array_equal(np.concatenate(scans), np.arange(1, n_max + 1))
 
 
 class TestFirstBandGap:
@@ -596,7 +638,7 @@ class TestBilayerFirstGaps:
                     assert objective(params, f"W{pol.value}") == gap.width
                 else:
                     assert gap is None
-                    with pytest.raises(NoBandGapError):
+                    with pytest.raises(ModelEvaluationError, match="no first band gap"):
                         objective(params, f"S{pol.value}")
 
     @pytest.mark.parametrize("pol", ["S", "P"])
@@ -676,7 +718,6 @@ class TestBilayerFirstGaps:
     def test_start_objective_solves_the_start_brackets_alone(self, pol):
         # each edge depends on its own bracket only, so the starts solved
         # alone are the starts of the two-bracket solve, bit for bit
-        kind = ObjectiveKind(f"S{pol}")
         corpora = []
         for seed in range(3):
             samples = lhs_sample(5, 5000, seed)
@@ -687,7 +728,7 @@ class TestBilayerFirstGaps:
         corpora.append(np.array([[1000.0, 2.0, 2.0, 0.2, 0.2], [1.0, 1.0, 2.0, 0.3, 0.3]]))
         for points in corpora:
             start, _ = bilayer_first_gaps(points, pol)
-            alone = crystal._objective_values(points, kind)
+            alone = crystal._bilayer_edges(points, Polarization(pol), 1)[0]
             assert np.array_equal(alone, start, equal_nan=True)
         assert np.isnan(alone[1]) and not np.isnan(alone[0])
 
@@ -726,9 +767,11 @@ class TestBilayerFirstGaps:
 
 class TestObjective:
     def test_equal_layers_have_no_gap(self):
-        with pytest.raises(NoBandGapError) as err:
+        # the report of objective_model's gap-free rows, at sample 0
+        with pytest.raises(ModelEvaluationError, match="no first band gap") as err:
             objective([1.0, 1.0, 1.0, 0.25, 0.25], "SS")
-        assert err.value.params == (1.0, 1.0, 1.0, 0.25, 0.25)
+        assert err.value.point.tolist() == [1.0, 1.0, 1.0, 0.25, 0.25]
+        assert str(err.value) == "no first band gap at sample 0: [1.0, 1.0, 1.0, 0.25, 0.25]"
 
     def test_start_below_p_start(self):
         params = [1000.0, 2.0, 2.0, 0.2, 0.2]
