@@ -7,9 +7,9 @@ target.  ``--threads`` is accepted and has no effect: every model
 evaluation runs in one thread.
 Exit codes: 0 success, 1 numerical failure (a gap-free cell where a gap
 is required, a sampled cell whose wave speed or impedance leaves the
-float range, a gap the general scan cannot close, or a non-finite
-dispersion half trace), 2 configuration errors, an option the command
-would ignore and an output path that cannot be written among them.
+float range, a constant sampled model, a gap the general scan cannot
+close, or a non-finite dispersion half trace), 2 configuration errors,
+an ignored option and an unwritable output path among them.
 """
 from __future__ import annotations
 
@@ -57,6 +57,10 @@ class ConfigError(Exception):
     pass
 
 
+class _NumericalFailure(Exception):
+    """A model's values that no result can be computed from."""
+
+
 def _out_dir(args: argparse.Namespace) -> Path:
     if args.out:
         out = Path(args.out)
@@ -97,26 +101,15 @@ def _write_table(out: Path, name: str, text: str, fmt: str) -> None:
     (out / f"{name}.{fmt}").write_text(text)
 
 
-def _load_cell(path: str) -> UnitCell:
+def _read_input(path: str, what: str, parse):
     try:
         text = Path(path).read_text()
     except OSError as err:
-        raise ConfigError(f"cannot read cell file {path}: {err}") from err
+        raise ConfigError(f"cannot read {what} file {path}: {err}") from err
     try:
-        return UnitCell.from_json(text)
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as err:
-        raise ConfigError(f"malformed cell file {path}: {err}") from err
-
-
-def _load_space(path: str | None) -> ParameterSpace:
-    if path is None:
-        return canonical_space()
-    try:
-        return ParameterSpace.from_json(Path(path).read_text())
-    except OSError as err:
-        raise ConfigError(f"cannot read space file {path}: {err}") from err
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as err:
-        raise ConfigError(f"malformed space file {path}: {err}") from err
+        return parse(text)
+    except (KeyError, TypeError, ValueError) as err:  # json.JSONDecodeError is a ValueError
+        raise ConfigError(f"malformed {what} file {path}: {err}") from err
 
 
 def _polarizations(choice: str) -> list[Polarization]:
@@ -134,7 +127,7 @@ def _gap_summary(cell: UnitCell, pols: list[Polarization], seed: int) -> dict:
 
 
 def cmd_dispersion(args: argparse.Namespace) -> int:
-    cell = _load_cell(args.cell)
+    cell = _read_input(args.cell, "cell", UnitCell.from_json)
     out = _out_dir(args)
     pols = _polarizations(args.pol)
     for pol in pols:
@@ -147,7 +140,7 @@ def cmd_dispersion(args: argparse.Namespace) -> int:
 
 
 def cmd_bandgap(args: argparse.Namespace) -> int:
-    cell = _load_cell(args.cell)
+    cell = _read_input(args.cell, "cell", UnitCell.from_json)
     out = _out_dir(args)
     summary = _gap_summary(cell, _polarizations(args.pol), args.seed)
     _write_json(out / "bandgap_summary.json", summary)
@@ -177,17 +170,16 @@ def _parse_function_requests(spec: str | None, names: tuple[str, ...]) -> list[t
 
 
 def cmd_sobol(args: argparse.Namespace) -> int:
-    if args.n < 100:
-        raise ConfigError("sensitivity studies need --n of at least 100")
     if args.target == "poly" and args.space is not None:
         raise ConfigError("--space applies to the band-gap targets, not to --target poly")
     out = _out_dir(args)
     if args.target == "poly":
         model = analytic_poly_model()
         names: tuple[str, ...] = ("x1", "x2", "x3")
-        space = None
     else:
-        space = _load_space(args.space)
+        space = canonical_space()
+        if args.space is not None:
+            space = _read_input(args.space, "space", ParameterSpace.from_json)
         try:
             model = objective_model(args.target, space=space)
         except ValueError as err:
@@ -195,7 +187,10 @@ def cmd_sobol(args: argparse.Namespace) -> int:
         names = space.names
     requests = _parse_function_requests(args.functions, names)
     samples = lhs_sample(model.n_dims, args.n, args.seed)
-    result = sobol_indices(model, samples, dim_names=names)
+    try:
+        result = sobol_indices(model, samples, dim_names=names)
+    except ValueError as err:  # a constant sampled model: no index is defined
+        raise _NumericalFailure(err) from err
     _write_json(out / "sobol_result.json", result.to_json_dict())
     _write_table(out, "sobol_indices", result.csv_text(), args.format)
 
@@ -279,17 +274,20 @@ def cmd_design(args: argparse.Namespace) -> int:
         return 0
 
     samples = lhs_sample(5, args.n, args.seed)
+    payload = {"mode": args.mode, "n_samples": args.n, "seed": args.seed}
     if args.mode == "error":
-        payload = {"mode": "error", "n_samples": args.n, "seed": args.seed, "delta": {}}
-        for kind, exact in _exact_columns(kinds, samples):
-            payload["delta"][kind] = scaled_l2_error(exact, design_model(kind), samples)
+        payload["delta"] = {
+            kind: scaled_l2_error(exact, design_model(kind), samples)
+            for kind, exact in _exact_columns(kinds, samples)
+        }
         _write_json(out / "design_error.json", payload)
         print(json.dumps(payload["delta"], indent=2, sort_keys=True))
         return 0
 
-    payload = {"mode": "truncation", "n_samples": args.n, "seed": args.seed, "curves": {}}
-    for kind, exact in _exact_columns(kinds, samples):
-        payload["curves"][kind] = truncation_curve(exact, kind, samples).to_json_dict()
+    payload["curves"] = {
+        kind: truncation_curve(exact, kind, samples).to_json_dict()
+        for kind, exact in _exact_columns(kinds, samples)
+    }
     _write_json(out / "design_truncation.json", payload)
     for kind in kinds:
         print(kind, " ".join(format(d, ".4f") for d in payload["curves"][kind]["delta_by_k"]))
@@ -327,7 +325,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--threads", type=int, default=1, help="accepted for compatibility; has no effect"
     )
     parser.add_argument("--out", type=str, default=None, help="output directory (default $PHONOGAP_OUT or .)")
-    parser.add_argument("--format", choices=["csv", "json"], default="csv", help="tabular output format")
 
 
 @functools.cache
@@ -356,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("sobol", help="variance-based sensitivity study")
     ps.add_argument("--target", choices=["poly", *KINDS], required=True)
-    ps.add_argument("--n", type=int, default=2000, help="Monte Carlo sample size")
+    ps.add_argument("--n", type=_int_at_least(100), default=2000, help="Monte Carlo sample size")
     ps.add_argument("--space", default=None, help="parameter-space JSON (default: canonical)")
     ps.add_argument(
         "--functions",
@@ -376,6 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(pg)
     pg.set_defaults(func=cmd_design)
 
+    for tables in (pd, ps):  # bandgap and design write JSON only
+        tables.add_argument("--format", choices=["csv", "json"], default="csv", help="tabular output format")
     return p
 
 
@@ -387,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
-    except (GapNotClosedError, ModelEvaluationError) as err:
+    except (GapNotClosedError, ModelEvaluationError, _NumericalFailure) as err:
         # band-gap model failures carry the physical point in their message
         print(f"numerical failure: {err}", file=sys.stderr)
         return 1

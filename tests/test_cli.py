@@ -9,6 +9,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import phonogap.crystal
@@ -18,7 +19,7 @@ from phonogap.design import ExtrapolationWarning
 from phonogap.sampling import (
     ParameterDef, ParameterSpace, canonical_space, lhs_sample, map_to_space,
 )
-from phonogap.sobol import analytic_poly_reference
+from phonogap.sobol import ModelFunction, analytic_poly_reference
 
 from oracles import dispersion_reference_rows
 
@@ -285,9 +286,10 @@ class TestSobolCommand:
         assert not any(tmp_path.iterdir())
 
     def test_small_n_rejected(self, tmp_path, capsys):
-        code = main(["sobol", "--target", "poly", "--n", "50", "--out", str(tmp_path)])
-        assert code == 2
-        assert "at least 100" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:
+            main(["sobol", "--target", "poly", "--n", "50", "--out", str(tmp_path)])
+        assert err.value.code == 2
+        assert "expected an integer >= 100, got '50'" in capsys.readouterr().err
 
     def test_space_with_the_polynomial_exits_2(self, tmp_path, capsys):
         # the polynomial has its own space: a --space file would go unread
@@ -606,6 +608,43 @@ class TestExitCodes:
         assert err.value.code == 2
         stderr = capsys.readouterr().err
         assert f"argument {option}: expected" in stderr and "Traceback" not in stderr
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bandgap", "--cell", "cell.json", "--format", "csv"],
+            ["bandgap", "--cell", "cell.json", "--format", "json"],
+            ["design", "--mode", "eval", "--params", "1000,2,2,0.2,0.2", "--format", "csv"],
+            ["design", "--mode", "error", "--n", "50", "--format", "csv"],
+        ],
+        ids=["bandgap-csv", "bandgap-json", "design-eval", "design-error"],
+    )
+    def test_format_on_a_json_only_command_exits_2(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--out", str(tmp_path / "out")])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.endswith(f"unrecognized arguments: --format {argv[-1]}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_help_lists_format_for_the_table_commands_only(self, capsys):
+        listed = []
+        for command in ("dispersion", "bandgap", "sobol", "design"):
+            with pytest.raises(SystemExit) as err:
+                main([command, "--help"])
+            assert err.value.code == 0
+            if "--format" in capsys.readouterr().out:
+                listed.append(command)
+        assert listed == ["dispersion", "sobol"]
+
+    def test_constant_sobol_model_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a narrow --space can make the sampled objective constant to the last bit
+        constant = ModelFunction(5, lambda u: np.full(len(u), 2.5), name="constant")
+        monkeypatch.setattr(phonogap.cli, "objective_model", lambda *kinds, space: constant)
+        code = main(["sobol", "--target", "SS", "--n", "100", "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "numerical failure: zero total variance: the model is constant on this sample set\n"
         assert not any(tmp_path.iterdir())
 
     def test_gap_free_sobol_point_exits_1(self, tmp_path, capsys):
