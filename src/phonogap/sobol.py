@@ -33,7 +33,8 @@ Latin Hypercube sample of the remaining dimensions, drawn once per
 function: with these common random numbers the inner-sample error is
 mostly a shift shared by all nodes, which centering removes.  One model
 call evaluates as many whole grid lines as fit in 8192 rows, and at
-least one line.
+least one line; the calls of a surface share one point block, whose
+inner-sample columns are written once.
 
 Everything here is deterministic given (model, seed, N).
 """
@@ -91,6 +92,8 @@ class ModelFunction:
     The estimators lay the matrix out column by column (the transposed
     view of an ``(n_dims, m)`` array), so ``fn`` must not assume
     row-major memory; reading one input column at a time is contiguous.
+    ``fn`` must not write into its input either: the estimators reuse one
+    point block across the model calls of a surface.
     """
 
     n_dims: int
@@ -106,11 +109,9 @@ def _evaluate(model: ModelFunction, matrix: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=float)
     values = np.asarray(model.fn(matrix), dtype=float)
     values = values.reshape((matrix.shape[0], -1) if values.ndim == 2 else matrix.shape[0])
-    bad = ~np.isfinite(values)
-    if bad.ndim == 2:
-        bad = bad.any(axis=1)
-    if bad.any():
-        idx = int(np.argmax(bad))
+    if not np.isfinite(values).all():
+        bad = ~np.isfinite(values)
+        idx = int(np.argmax(bad.any(axis=1) if bad.ndim == 2 else bad))
         raise ModelEvaluationError(idx, matrix[idx], "model returned a non-finite value")
     return values
 
@@ -305,13 +306,17 @@ class SobolFunctionEstimate:
     def csv_text(self) -> str:
         """Header ``u<axis>[,u<axis>],value`` and one line per grid node,
         in row-major order of ``values``.  Each grid coordinate is
-        formatted once, and the node labels are joined once into the
-        table's template, so one ``%`` operation formats every value;
-        ``%.17g`` formats as ``format(x, ".17g")`` does, so every float
+        formatted once: the last axis's line tails are made once, and
+        each grid line prefixes its earlier coordinates to them in one
+        join, so one ``%`` operation formats every value; ``%.17g``
+        formats as ``format(x, ".17g")`` does, so every float
         round-trips and no label holds a ``%``."""
-        coords = [["%.17g" % g for g in grid.tolist()] for grid in self.grids]
-        labels = [",".join(node) for node in itertools.product(*coords)]
-        template = ",%.17g\n".join(labels) + ",%.17g\n"
+        *outer, last = [["%.17g" % g for g in grid.tolist()] for grid in self.grids]
+        tails = [c + ",%.17g\n" for c in last]
+        prefixes = [""]
+        for coords in outer:
+            prefixes = [p + c + "," for p in prefixes for c in coords]
+        template = "".join(p + p.join(tails) for p in prefixes)
         header = ",".join(f"u{a}" for a in self.axes) + ",value\n"
         return header + template % tuple(self.values.ravel().tolist())
 
@@ -329,34 +334,41 @@ def _midpoint_grid(n: int) -> np.ndarray:
 _SURFACE_CALL_ROWS = 8192
 
 
+def _point_block(n_dims: int, axes: Sequence[int], n_nodes: int, inner: np.ndarray) -> np.ndarray:
+    """An ``(n_dims, n_nodes, len(inner))`` block of points for
+    ``n_nodes`` nodes: the dimensions other than ``axes``, in increasing
+    order, take the columns of ``inner`` at every node, and the node
+    coordinates are left for :func:`_conditional_means` to write."""
+    pts = np.empty((n_dims, n_nodes, len(inner)))
+    for k, dim in enumerate(d for d in range(n_dims) if d not in axes):
+        pts[dim] = inner[:, k]
+    return pts
+
+
 def _conditional_means(
     model: ModelFunction,
     axes: Sequence[int],
     nodes: np.ndarray,
-    inner: np.ndarray,
+    pts: np.ndarray,
     line: int,
 ) -> np.ndarray:
-    """Mean of the model over the shared ``inner`` sample at each node, in
+    """Mean of the model over the shared inner sample at each node, in
     one model call.
 
-    Row ``a`` of ``nodes`` fixes the coordinates ``axes``; the remaining
-    dimensions, in increasing order, take the columns of ``inner``; the
-    points are stored column by column.  The nodes form whole grid lines
-    of ``line`` nodes each, and a failing row is reported by its index
-    within its own line.
+    Row ``a`` of ``nodes`` fixes the coordinates ``axes``, which are
+    written into ``pts``, a :func:`_point_block` of ``len(nodes)`` nodes;
+    the points are stored column by column.  The nodes form whole grid
+    lines of ``line`` nodes each, and a failing row is reported by its
+    index within its own line.
     """
-    rest = [k for k in range(model.n_dims) if k not in axes]
-    pts = np.empty((model.n_dims, len(nodes), len(inner)))
     for k, axis in enumerate(axes):
         pts[axis] = nodes[:, k, None]
-    for k, dim in enumerate(rest):
-        pts[dim] = inner[:, k]
     try:
         values = _evaluate(model, pts.reshape(model.n_dims, -1).T)
     except ModelEvaluationError as err:
-        rows = line * len(inner)
+        rows = line * pts.shape[2]
         raise ModelEvaluationError(err.index % rows, err.point, err.message) from err
-    return values.reshape(len(nodes), len(inner)).mean(axis=1)
+    return values.reshape(len(nodes), -1).mean(axis=1)
 
 
 def _estimate_sobol_function(
@@ -376,6 +388,8 @@ def _estimate_sobol_function(
     the last axis) of the table of conditional means, as many as fit in
     ``_SURFACE_CALL_ROWS`` rows and at least one, which bounds the memory
     of a surface.  The model is row-pure, so the split changes no node.
+    The calls share one point block, whose inner-sample columns are
+    written once; a shorter last call gets a block of its own size.
     """
     if len(set(axes)) != len(axes):
         raise ValueError("second-order function needs two distinct dimensions")
@@ -389,11 +403,14 @@ def _estimate_sobol_function(
     inner = _lhs_matrix(model.n_dims - len(axes), inner_samples, np.random.default_rng(seed))
     # every node, one grid line (the last axis) after another
     nodes = np.stack(np.meshgrid(*(grid,) * len(axes), indexing="ij"), axis=-1).reshape(-1, len(axes))
-    step = max(_SURFACE_CALL_ROWS // (grid_points * inner_samples), 1) * grid_points
-    means = [
-        _conditional_means(model, axes, nodes[s:s + step], inner, grid_points)
-        for s in range(0, len(nodes), step)
-    ]
+    step = min(max(_SURFACE_CALL_ROWS // (grid_points * inner_samples), 1) * grid_points, len(nodes))
+    pts = _point_block(model.n_dims, axes, step, inner)
+    means = []
+    for s in range(0, len(nodes), step):
+        chunk = nodes[s:s + step]
+        if len(chunk) < step:
+            pts = _point_block(model.n_dims, axes, len(chunk), inner)
+        means.append(_conditional_means(model, axes, chunk, pts, grid_points))
     table = np.concatenate(means).reshape((grid_points,) * len(axes))
     f0 = float(np.mean(table))
     if len(axes) == 1:
@@ -451,13 +468,24 @@ def analytic_poly_model() -> ModelFunction:
     """
 
     def fn(u: np.ndarray) -> np.ndarray:
-        x = 8.0 * np.asarray(u, dtype=float) - 4.0
+        x = 8.0 * np.asarray(u, dtype=float)
+        x -= 4.0
         x1, x2, x3 = x[:, 0], x[:, 1], x[:, 2]
+        # ``x1*x1 + x2s*x2s + x1*x2 + x2*(x3s*x3s)`` term by term into one
+        # result and one scratch array, rounding as that expression does;
         # fourth powers by squaring twice: ``**4`` goes through ``pow``,
         # which is about ten times slower on these arrays
-        x2s = x2 * x2
-        x3s = x3 * x3
-        return x1 * x1 + x2s * x2s + x1 * x2 + x2 * (x3s * x3s)
+        out = x1 * x1
+        term = x2 * x2
+        term *= term
+        out += term
+        np.multiply(x1, x2, out=term)
+        out += term
+        np.multiply(x3, x3, out=term)
+        term *= term
+        term *= x2
+        out += term
+        return out
 
     return ModelFunction(n_dims=3, fn=fn, name="analytic-poly")
 

@@ -14,7 +14,10 @@ import pytest
 
 import phonogap.crystal
 from phonogap.cli import build_parser, main
-from phonogap.crystal import Layer, Polarization, UnitCell, dispersion_curve, transit_time, two_layer_cell
+from phonogap.crystal import (
+    GapNotClosedError, Layer, Polarization, UnitCell, dispersion_curve, first_band_gap, transit_time,
+    two_layer_cell,
+)
 from phonogap.design import ExtrapolationWarning
 from phonogap.sampling import (
     ParameterDef, ParameterSpace, canonical_space, lhs_sample, map_to_space,
@@ -705,6 +708,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: S-wave band gap starting at omega_hat=")
         assert "did not close" in err and "(0.41, 846.0, 1656.0, 0.2)" in err
+
+    def test_gap_not_closed_error_is_one_line_and_no_summary(self, tmp_path, capsys, monkeypatch):
+        # this three-layer cell's S gap runs from about 0.302 to 1.443 Bragg
+        # frequencies: a search cap of 0.32 finds its start and ends the end
+        # search at four caps, so ``first_band_gap`` raises GapNotClosedError
+        cell = UnitCell((Layer(0.3, 1.0, 1.0, 0.2), Layer(0.4, 3.0, 20.0, 0.3), Layer(0.3, 8.0, 300.0, 0.1)))
+        path = tmp_path / "cell.json"
+        path.write_text(cell.to_json())
+        start = first_band_gap(cell, "S").start  # the scan refines the start alone, to the same bits
+        monkeypatch.setattr(phonogap.crystal, "_SCAN_CAP_BRAGG", 0.32)
+        with pytest.raises(GapNotClosedError):
+            first_band_gap(cell, "S")
+        assert main(["bandgap", "--cell", str(path), "--out", str(tmp_path)]) == 1
+        layers = [(l.h_hat, l.rho_hat, l.e_hat, l.nu) for l in cell.layers]
+        assert capsys.readouterr().err == (
+            f"numerical failure: S-wave band gap starting at omega_hat={start:.17g} did not close "
+            f"below four search caps (layers h, rho, E, nu: {layers})\n"
+        )
+        assert not (tmp_path / "bandgap_summary.json").exists()
 
     @pytest.mark.parametrize(
         "argv, out",

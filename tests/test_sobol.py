@@ -319,6 +319,33 @@ class TestPointLayout:
         assert seen == [True, True, True]
         assert results[0] == results[1]
 
+    def test_a_ragged_last_call_keeps_the_layout(self, monkeypatch):
+        # 3 lines per call on 7 lines: the calls hold 3, 3 and 1 lines; a
+        # surface reuses one point block, and the shorter last call must
+        # still get its points column by column and the same inner sample
+        grid_points, inner = 7, 4
+        monkeypatch.setattr(sobol, "_SURFACE_CALL_ROWS", 3 * grid_points * inner)
+        poly = analytic_poly_model()
+        blocks = []
+
+        def fn(u):
+            blocks.append((u.flags.f_contiguous, len(u), u[:, 1].reshape(-1, inner).copy()))
+            return poly.fn(u)
+
+        def row_major(u):
+            return poly.fn(np.ascontiguousarray(u))
+
+        texts = [
+            estimate_sobol_function_2d(model, 0, 2, grid_points, inner, seed=6).csv_text()
+            for model in (ModelFunction(3, fn, poly.name), ModelFunction(3, row_major, poly.name))
+        ]
+        assert [(layout, rows) for layout, rows, _ in blocks] == [
+            (True, lines * grid_points * inner) for lines in (3, 3, 1)
+        ]
+        first = blocks[0][2][0]
+        assert all((columns == first).all() for _, _, columns in blocks)
+        assert texts[0] == texts[1]
+
 
 def _surface(model, axes, grid_points, inner, seed=4):
     estimate = estimate_sobol_function_1d if len(axes) == 1 else estimate_sobol_function_2d
@@ -486,6 +513,21 @@ class TestAnalyticPolyModel:
             x1, x2, x3 = (8 * Fraction(c) - 4 for c in row)
             exact.append(float(x1**2 + x2**4 + x1 * x2 + x2 * x3**4))
         assert POLY.fn(u).tolist() == exact
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_bits_of_the_written_out_expression_and_a_pure_input(self, order):
+        # the model computes term by term in place; every value keeps the
+        # bits of the expression, and the input is left as it was (a
+        # surface reuses one point block across its model calls)
+        u = np.random.default_rng(23).random((4096, 3))
+        u[:27] = np.stack(np.meshgrid(*([0.0, 0.5, 1.0],) * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+        u = np.asarray(u, order=order)
+        before = u.copy()
+        x = 8.0 * u - 4.0
+        x1, x2, x3 = x[:, 0], x[:, 1], x[:, 2]
+        x2s, x3s = x2 * x2, x3 * x3
+        assert np.array_equal(POLY.fn(u), x1 * x1 + x2s * x2s + x1 * x2 + x2 * (x3s * x3s))
+        assert np.array_equal(u, before)
 
     def test_agrees_with_the_pow_form(self):
         # fourth powers through ``**``, that is through ``pow``
