@@ -48,7 +48,6 @@ from .crystal import (
 )
 from .design import (
     DesignEquation,
-    TruncationCurve,
     design_model,
     fit_polynomial_surrogate,
     load_design_equations,

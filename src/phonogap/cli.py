@@ -172,6 +172,11 @@ def _parse_function_requests(spec: str | None, names: tuple[str, ...]) -> list[t
 def cmd_sobol(args: argparse.Namespace) -> int:
     if args.target == "poly" and args.space is not None:
         raise ConfigError("--space applies to the band-gap targets, not to --target poly")
+    for option in ("grid", "inner"):
+        if getattr(args, option) is not None and not args.functions:
+            raise ConfigError(f"--{option} applies to --functions, which is not given")
+    grid = 64 if args.grid is None else args.grid
+    inner = 128 if args.inner is None else args.inner
     out = _out_dir(args)
     if args.target == "poly":
         model = analytic_poly_model()
@@ -197,11 +202,9 @@ def cmd_sobol(args: argparse.Namespace) -> int:
     for axes in requests:
         tag = "-".join(names[a].replace("/", "_") for a in axes)
         if len(axes) == 1:
-            est = estimate_sobol_function_1d(model, axes[0], args.grid, args.inner, seed=args.seed)
+            est = estimate_sobol_function_1d(model, axes[0], grid, inner, seed=args.seed)
         else:
-            est = estimate_sobol_function_2d(
-                model, axes[0], axes[1], args.grid, args.inner, seed=args.seed
-            )
+            est = estimate_sobol_function_2d(model, axes[0], axes[1], grid, inner, seed=args.seed)
         _write_table(out, f"sobol_function_{tag}", est.csv_text(), args.format)
 
     if args.target == "poly":
@@ -256,6 +259,9 @@ def _exact_columns(kinds: list[str], samples: SampleSet) -> Iterator[tuple[str, 
 def cmd_design(args: argparse.Namespace) -> int:
     if args.mode != "eval" and args.params is not None:
         raise ConfigError(f"--params applies to --mode eval, not to --mode {args.mode}")
+    if args.mode == "eval" and args.n is not None:
+        raise ConfigError("--n applies to --mode error and truncation, not to --mode eval")
+    n = 2000 if args.n is None else args.n
     out = _out_dir(args)
     kinds = list(KINDS) if args.kind == "all" else [args.kind]
     if args.mode == "eval":
@@ -273,8 +279,8 @@ def cmd_design(args: argparse.Namespace) -> int:
         print(json.dumps(payload["predictions_omega_hat"], indent=2, sort_keys=True))
         return 0
 
-    samples = lhs_sample(5, args.n, args.seed)
-    payload = {"mode": args.mode, "n_samples": args.n, "seed": args.seed}
+    samples = lhs_sample(5, n, args.seed)
+    payload = {"mode": args.mode, "n_samples": n, "seed": args.seed}
     if args.mode == "error":
         payload["delta"] = {
             kind: scaled_l2_error(exact, design_model(kind), samples)
@@ -284,13 +290,14 @@ def cmd_design(args: argparse.Namespace) -> int:
         print(json.dumps(payload["delta"], indent=2, sort_keys=True))
         return 0
 
+    curves = {kind: truncation_curve(exact, kind, samples) for kind, exact in _exact_columns(kinds, samples)}
     payload["curves"] = {
-        kind: truncation_curve(exact, kind, samples).to_json_dict()
-        for kind, exact in _exact_columns(kinds, samples)
+        kind: {"kind": kind, "n_samples": n, "seed": args.seed, "delta_by_k": list(deltas)}
+        for kind, deltas in curves.items()
     }
     _write_json(out / "design_truncation.json", payload)
     for kind in kinds:
-        print(kind, " ".join(format(d, ".4f") for d in payload["curves"][kind]["delta_by_k"]))
+        print(kind, " ".join(format(d, ".4f") for d in curves[kind]))
     return 0
 
 
@@ -360,8 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="Sobol' functions to export, e.g. 'x2;x2,x3' or 'rho2/rho1;rho2/rho1,h2/h1'",
     )
-    ps.add_argument("--grid", type=_int_at_least(2), default=64, help="grid nodes per function axis")
-    ps.add_argument("--inner", type=_int_at_least(2), default=128, help="inner samples per grid node")
+    # None tells an option given without --functions from its default
+    ps.add_argument(
+        "--grid", type=_int_at_least(2), default=None, help="grid nodes per function axis (default 64)"
+    )
+    ps.add_argument(
+        "--inner", type=_int_at_least(2), default=None, help="inner samples per grid node (default 128)"
+    )
     _add_common(ps)
     ps.set_defaults(func=cmd_sobol)
 
@@ -369,7 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--kind", choices=["all", *KINDS], default="all")
     pg.add_argument("--mode", choices=["eval", "error", "truncation"], required=True)
     pg.add_argument("--params", default=None, help="five comma-separated values for eval mode")
-    pg.add_argument("--n", type=_int_at_least(2), default=2000, help="samples for error/truncation modes")
+    pg.add_argument(
+        "--n", type=_int_at_least(2), default=None, help="samples for error/truncation modes (default 2000)"
+    )
     _add_common(pg)
     pg.set_defaults(func=cmd_design)
 

@@ -33,7 +33,6 @@ __all__ = [
     "KINDS",
     "FittedTerm",
     "DesignEquation",
-    "TruncationCurve",
     "ExtrapolationWarning",
     "load_design_equations",
     "design_model",
@@ -112,7 +111,6 @@ class FittedTerm:
 class DesignEquation:
     """Constant plus ordered fitted terms for one objective."""
 
-    kind: str
     f0: float
     terms: tuple[FittedTerm, ...]
     log_base: float
@@ -185,7 +183,6 @@ def load_design_equations() -> dict[str, DesignEquation]:
             for t in eq["terms"]
         )
         out[kind] = DesignEquation(
-            kind=kind,
             f0=float(eq["f0"]),
             terms=terms,
             log_base=log_base,
@@ -198,8 +195,10 @@ def design_model(kind: str) -> ModelFunction:
     """Design equation wrapped as a unit-hypercube model (for error studies).
 
     Its samples map into the fitted box, so it skips the range check.
+    An unknown ``kind`` raises a ValueError that names it.
     """
-    eq = load_design_equations()[str(kind)]
+    kind = ObjectiveKind(kind).value
+    eq = load_design_equations()[kind]
     space = canonical_space()
     return ModelFunction(5, lambda u: eq.partial_sums(map_to_space(u, space))[-1], name=f"design-{kind}")
 
@@ -233,42 +232,23 @@ def _scaled_error(y: np.ndarray, y_hat: np.ndarray) -> float:
     return float(np.mean((y - y_hat) ** 2) / variance)
 
 
-@dataclass(frozen=True)
-class TruncationCurve:
-    """Scaled L2 error after cumulatively including the fitted terms.
+def truncation_curve(exact: np.ndarray, kind: str, samples: SampleSet) -> tuple[float, ...]:
+    """Scaled L2 error of one design equation against ``exact``, the exact
+    values on ``samples.original`` (as for :func:`scaled_l2_error`), after
+    cumulatively including its fitted terms.
 
-    ``deltas[k]`` uses the constant plus the first ``k`` terms, so
-    ``deltas[0]`` measures the constant-only surrogate (about one).
-    Since the conditional mean is the best function of given inputs,
-    ``deltas[k]`` cannot fall below one minus the closed Sobol' index of
-    the inputs of the first ``k`` terms.
-    """
-
-    kind: str
-    deltas: tuple[float, ...]
-    n_samples: int
-    seed: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "delta_by_k": list(self.deltas),
-        }
-
-
-def truncation_curve(exact: np.ndarray, kind: str, samples: SampleSet) -> TruncationCurve:
-    """Error-vs-terms curve for one design equation against ``exact``, the
-    exact values on ``samples.original`` (as for :func:`scaled_l2_error`).
-
-    One :meth:`DesignEquation.partial_sums` pass gives every truncation
-    level, so the last entry is the :func:`scaled_l2_error` of
-    :func:`design_model` on the same samples.
+    Entry ``k`` uses the constant plus the first ``k`` terms, so entry 0
+    measures the constant-only surrogate (about one).  Since the
+    conditional mean is the best function of given inputs, entry ``k``
+    cannot fall below one minus the closed Sobol' index of the inputs of
+    the first ``k`` terms.  One :meth:`DesignEquation.partial_sums` pass
+    gives every truncation level, so the last entry is the
+    :func:`scaled_l2_error` of :func:`design_model` on the same samples.
+    An unknown ``kind`` raises a ValueError that names it.
     """
     pts = map_to_space(samples.original, canonical_space())
-    deltas = tuple(_scaled_error(exact, row) for row in load_design_equations()[str(kind)].partial_sums(pts))
-    return TruncationCurve(kind=str(kind), deltas=deltas, n_samples=samples.n_samples, seed=samples.seed)
+    eq = load_design_equations()[ObjectiveKind(kind).value]
+    return tuple(_scaled_error(exact, row) for row in eq.partial_sums(pts))
 
 
 def fit_polynomial_surrogate(

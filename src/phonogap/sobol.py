@@ -283,10 +283,7 @@ class SobolFunctionEstimate:
     axes: tuple[int, ...]
     grids: tuple[np.ndarray, ...]
     values: np.ndarray
-    inner_samples: int
-    seed: int
     f0: float
-    model: str = "model"
 
     def __post_init__(self) -> None:
         grids = tuple(np.asarray(g, dtype=float) for g in self.grids)
@@ -417,15 +414,7 @@ def _estimate_sobol_function(
         values = table - f0
     else:
         values = table - table.mean(axis=1, keepdims=True) - table.mean(axis=0, keepdims=True) + f0
-    return SobolFunctionEstimate(
-        axes=axes,
-        grids=(grid,) * len(axes),
-        values=values,
-        inner_samples=inner_samples,
-        seed=int(seed),
-        f0=f0,
-        model=model.name,
-    )
+    return SobolFunctionEstimate(axes=axes, grids=(grid,) * len(axes), values=values, f0=f0)
 
 
 def estimate_sobol_function_1d(

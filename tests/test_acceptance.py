@@ -241,13 +241,13 @@ def truncation_curves(study_samples, exact_study):
 
 def test_criterion_09_truncation_baseline_and_monotonicity(truncation_curves):
     for kind, curve in truncation_curves.items():
-        assert curve.deltas[0] == pytest.approx(1.0, abs=0.02), kind
-    assert truncation_curves["SS"].deltas[1] <= 0.10
+        assert curve[0] == pytest.approx(1.0, abs=0.02), kind
+    assert truncation_curves["SS"][1] <= 0.10
     for kind in ("WS", "WP"):
-        deltas = truncation_curves[kind].deltas
+        deltas = truncation_curves[kind]
         assert all(b <= a + 0.02 for a, b in zip(deltas, deltas[1:])), kind
     summary = "; ".join(
-        f"{kind} " + ">".join(f"{d:.3f}" for d in curve.deltas)
+        f"{kind} " + ">".join(f"{d:.3f}" for d in curve)
         for kind, curve in truncation_curves.items()
     )
     print(f"ACCEPTANCE 9 (baseline, SS drop, WS/WP monotone): {summary} -> PASS")
@@ -268,7 +268,7 @@ def test_criterion_09_sp_first_term_drop(truncation_curves, study_samples, exact
     ]
     _, residual = fit_polynomial_surrogate(x, y, exponents)
     floor = residual**2 / len(y) / np.var(y)
-    delta = truncation_curves["SP"].deltas[1]
+    delta = truncation_curves["SP"][1]
     margin = delta - floor
     print(
         f"ACCEPTANCE 9 (SP first-term drop): delta={delta:.4f} "

@@ -302,6 +302,28 @@ class TestSobolCommand:
         assert err == "configuration error: --space applies to the band-gap targets, not to --target poly\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("option", ["--grid", "--inner"])
+    def test_surface_options_without_functions_exit_2(self, tmp_path, capsys, option):
+        argv = ["sobol", "--target", "poly", "--n", "100", option, "5"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: {option} applies to --functions, which is not given\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_surface_defaults(self, tmp_path, monkeypatch):
+        calls = []
+        estimate = phonogap.cli.estimate_sobol_function_1d
+
+        def recorded(model, i, grid_points, inner_samples, seed):
+            calls.append((grid_points, inner_samples))
+            return estimate(model, i, grid_points, inner_samples, seed=seed)
+
+        monkeypatch.setattr(phonogap.cli, "estimate_sobol_function_1d", recorded)
+        argv = ["sobol", "--target", "poly", "--n", "100", "--functions", "x1", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert calls == [(64, 128)]
+        assert len((tmp_path / "sobol_function_x1.csv").read_text().splitlines()) == 65
+
     @staticmethod
     def run_with_space(tmp_path, dims, target="SS"):
         space_file = tmp_path / "space.json"
@@ -404,6 +426,17 @@ class TestDesignCommand:
         assert err == f"configuration error: --params applies to --mode eval, not to --mode {mode}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_n_in_eval_mode_exits_2(self, tmp_path, capsys):
+        argv = ["design", "--mode", "eval", "--params", "1000,2,2,0.2,0.2", "--n", "2000"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: --n applies to --mode error and truncation, not to --mode eval\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_error_mode_samples_2000_by_default(self, tmp_path):
+        assert main(["design", "--mode", "error", "--kind", "SS", "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "design_error.json").read_text())["n_samples"] == 2000
+
     def test_error_mode(self, tmp_path):
         code = main(
             ["design", "--mode", "error", "--kind", "SS", "--n", "300", "--seed", "5",
@@ -421,7 +454,10 @@ class TestDesignCommand:
         )
         assert code == 0
         payload = json.loads((tmp_path / "design_truncation.json").read_text())
-        deltas = payload["curves"]["SS"]["delta_by_k"]
+        curve = payload["curves"]["SS"]
+        assert set(payload["curves"]) == {"SS"}
+        assert (curve["kind"], curve["n_samples"], curve["seed"]) == ("SS", 300, 5)
+        deltas = curve["delta_by_k"]
         assert deltas[0] == pytest.approx(1.0, abs=0.02)
         assert len(deltas) == 4
 

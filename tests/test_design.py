@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from phonogap.crystal import objective, objective_model
+from phonogap.crystal import ObjectiveKind, objective, objective_model
 from phonogap.design import (
     KINDS,
     ExtrapolationWarning,
@@ -205,11 +205,28 @@ class TestTruncationCurve:
     def test_reference_kind_quickly(self):
         samples = lhs_sample(5, 400, 7)
         curve = truncation_curve(objective_model("SS").fn(samples.original), "SS", samples)
-        assert len(curve.deltas) == 4
-        assert curve.deltas[0] == pytest.approx(1.0, abs=0.02)
-        assert curve.deltas[-1] < 0.05
-        payload = curve.to_json_dict()
-        assert payload["kind"] == "SS" and len(payload["delta_by_k"]) == 4
+        assert len(curve) == 4
+        assert curve[0] == pytest.approx(1.0, abs=0.02)
+        assert curve[-1] < 0.05
+
+
+class TestKindArgument:
+    """The design functions take an ``ObjectiveKind`` as well as its value."""
+
+    def test_enum_and_value_agree(self):
+        samples = lhs_sample(5, 200, 8)
+        exact = objective_model("SS").fn(samples.original)
+        by_enum, by_value = design_model(ObjectiveKind.SS), design_model("SS")
+        assert by_enum.name == by_value.name == "design-SS"
+        assert np.array_equal(_evaluate(by_enum, samples.original), _evaluate(by_value, samples.original))
+        assert truncation_curve(exact, ObjectiveKind.SS, samples) == truncation_curve(exact, "SS", samples)
+
+    def test_unknown_kind_is_named(self):
+        samples = lhs_sample(5, 100, 8)
+        with pytest.raises(ValueError, match="'XX'"):
+            design_model("XX")
+        with pytest.raises(ValueError, match="'XX'"):
+            truncation_curve(np.zeros(100), "XX", samples)
 
 
 class TestPartialSums:
@@ -235,10 +252,10 @@ class TestPartialSums:
         y = _evaluate(objective_model(kind), samples.original)
         curve = truncation_curve(y, kind, samples)
         pts = map_to_space(samples.original, canonical_space())
-        assert len(curve.deltas) == len(eq.terms) + 1
-        for k, delta in enumerate(curve.deltas):
+        assert len(curve) == len(eq.terms) + 1
+        for k, delta in enumerate(curve):
             assert delta == _scaled_error(y, design_sum_reference(eq, pts, k)), k
-        assert curve.deltas[-1] == scaled_l2_error(y, design_model(kind), samples)
+        assert curve[-1] == scaled_l2_error(y, design_model(kind), samples)
 
     def test_truncation_curve_evaluates_each_term_once(self, samples, monkeypatch):
         calls = []

@@ -482,8 +482,7 @@ class TestSobolFunctions:
         assert len(lines) == 17
         with pytest.raises(ValueError):
             SobolFunctionEstimate(
-                axes=(0,), grids=(np.array([0.1, 0.2]),), values=np.zeros(3),
-                inner_samples=8, seed=0, f0=0.0,
+                axes=(0,), grids=(np.array([0.1, 0.2]),), values=np.zeros(3), f0=0.0,
             )
 
     @pytest.mark.parametrize("axes", [(1,), (1, 2)], ids=["1d", "2d"])
